@@ -8,8 +8,8 @@
 //!
 //! The headline rows are virtual-time (deterministic on any host, so CI
 //! can assert the dynamic/static improvement); the wall-clock group runs
-//! the real-thread interpreter with and without the pool for completeness
-//! (only meaningful on a multi-core host).
+//! the real-thread interpreter on its pool for completeness (only
+//! meaningful on a multi-core host).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tetra::{programs, BufferConsole, VmConfig};
@@ -83,19 +83,13 @@ fn bench_interp_wallclock(c: &mut Criterion) {
     let program = compile(&programs::skewed(48));
     let mut group = c.benchmark_group("e10_sched_interp_wallclock");
     group.sample_size(10);
-    for (label, use_pool) in [("pool", true), ("no-pool", false)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &use_pool, |b, &up| {
-            b.iter(|| {
-                let console = BufferConsole::new();
-                let cfg = tetra::InterpConfig {
-                    worker_threads: 4,
-                    use_pool: up,
-                    ..tetra::InterpConfig::default()
-                };
-                program.run_with(cfg, console).unwrap()
-            });
+    group.bench_function(BenchmarkId::from_parameter("pool"), |b| {
+        b.iter(|| {
+            let console = BufferConsole::new();
+            let cfg = tetra::InterpConfig { worker_threads: 4, ..tetra::InterpConfig::default() };
+            program.run_with(cfg, console).unwrap()
         });
-    }
+    });
     group.finish();
 }
 

@@ -8,10 +8,8 @@ const USAGE: &str = "\
 tetra — the Tetra educational parallel programming language
 
 USAGE:
-  tetra run <file.tet> [--threads N] [--gil] [--gc-stress] [--gc-stats] [--gc-threads N]
-                       [--no-detect] [--no-pool] [--trace out.json] [--metrics] [--heap-profile]
-                       (--no-pool: spawn a thread per chunk instead of the
-                       persistent work-stealing pool)
+  tetra run <file.tet> [--threads N] [--gc-stress] [--gc-stats] [--gc-threads N]
+                       [--no-detect] [--trace out.json] [--metrics] [--heap-profile]
   tetra profile <file.tet> [--threads N] [--flame out.folded]
                                     run with tracing and print a profile report
                                     (--flame also writes collapsed stacks for
@@ -21,10 +19,11 @@ USAGE:
   tetra ast <file.tet>              dump the AST
   tetra pretty <file.tet>           re-print canonical source
   tetra disasm <file.tet> [--fold]  compile to bytecode and disassemble
-  tetra sim <file.tet> [--threads N] [--gil] [--no-pool] [--trace out.json] [--metrics]
+  tetra sim <file.tet> [--threads N] [--gil] [--static-chunks] [--trace out.json] [--metrics]
                        [--heap-profile]
-                                    deterministic virtual-time run (VM;
-                                    --no-pool models static chunking)
+                                    deterministic virtual-time run (VM; --gil
+                                    models a global interpreter lock,
+                                    --static-chunks one contiguous chunk per worker)
   tetra trace <file.tet> [--threads N]
                                     run with tracing: thread timeline + data races
   tetra debug <file.tet> [--threads N]
@@ -45,8 +44,8 @@ struct Opts {
     /// Cap on parallel mark workers (`--gc-threads`; None = one per core).
     gc_threads: Option<usize>,
     no_detect: bool,
-    /// Bypass the work-stealing pool (interp) / dynamic chunking (sim).
-    no_pool: bool,
+    /// Static chunking instead of guided self-scheduling (sim only).
+    static_chunks: bool,
     fold: bool,
     trace: Option<String>,
     metrics: bool,
@@ -65,7 +64,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         gc_stats: false,
         gc_threads: None,
         no_detect: false,
-        no_pool: false,
+        static_chunks: false,
         fold: false,
         trace: None,
         metrics: false,
@@ -110,7 +109,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.gc_threads = Some(v.parse::<usize>().map_err(|e| e.to_string())?);
             }
             "--no-detect" => o.no_detect = true,
-            "--no-pool" => o.no_pool = true,
+            "--static-chunks" => o.static_chunks = true,
             "--fold" => o.fold = true,
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}`\n\n{USAGE}"))
@@ -181,21 +180,25 @@ fn need_file(o: &Opts) -> Result<&str, String> {
     o.positional.first().map(|s| s.as_str()).ok_or_else(|| USAGE.to_string())
 }
 
-fn interp_config(o: &Opts) -> InterpConfig {
+/// The interpreter has no GIL: `--gil` is the simulator's cost model, so an
+/// interpreter command given it fails rather than silently ignoring it.
+fn interp_config(o: &Opts) -> Result<InterpConfig, String> {
+    if o.gil {
+        return Err("`--gil` is a simulator option: use `tetra sim --gil`".to_string());
+    }
     let mut c = InterpConfig::default();
     if let Some(t) = o.threads {
         c.worker_threads = t;
     }
-    c.gil = o.gil;
     c.gc.stress = o.gc_stress;
     c.gc.gc_threads = o.gc_threads.unwrap_or(0);
     c.detect_deadlocks = !o.no_detect;
-    c.use_pool = !o.no_pool;
-    c
+    Ok(c)
 }
 
 fn run(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    let config = interp_config(&o)?;
     let (program, _src) = compile_file(need_file(&o)?)?;
     let observing = o.trace.is_some() || o.metrics || o.heap_profile;
     if observing {
@@ -206,7 +209,7 @@ fn run(args: &[String]) -> Result<(), String> {
             ..Default::default()
         });
     }
-    let result = program.run_with(interp_config(&o), Arc::new(StdConsole));
+    let result = program.run_with(config, Arc::new(StdConsole));
     if observing {
         let trace = tetra::obs::session::end();
         if let Some(path) = &o.trace {
@@ -253,10 +256,10 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn profile(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
-    let path = need_file(&o)?;
-    let (program, src) = compile_file(path)?;
+    let config = interp_config(&o)?;
+    let (program, src) = compile_file(need_file(&o)?)?;
     tetra::obs::session::begin(tetra::obs::session::Config::default());
-    let result = program.run_with(interp_config(&o), Arc::new(StdConsole));
+    let result = program.run_with(config, Arc::new(StdConsole));
     let trace = tetra::obs::session::end();
     // Report even when the program failed: the trace up to the error is
     // usually exactly what the user wants to see.
@@ -340,7 +343,7 @@ fn sim(args: &[String]) -> Result<(), String> {
     let (program, _) = compile_file(need_file(&o)?)?;
     let mut cfg = VmConfig {
         workers: o.threads.unwrap_or(4),
-        dynamic_chunking: !o.no_pool,
+        dynamic_chunking: !o.static_chunks,
         cost: tetra::vm::CostModel { gil: o.gil, ..Default::default() },
         ..VmConfig::default()
     };
@@ -384,9 +387,10 @@ fn sim(args: &[String]) -> Result<(), String> {
 
 fn trace(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    let config = interp_config(&o)?;
     let (program, _) = compile_file(need_file(&o)?)?;
     let dbg = tetra::debugger::Debugger::tracer();
-    let interp = program.debug(interp_config(&o), Arc::new(StdConsole), dbg.clone());
+    let interp = program.debug(config, Arc::new(StdConsole), dbg.clone());
     let result = interp.run();
     println!("\n=== thread timeline ===");
     print!("{}", tetra::debugger::timeline::render(&dbg.events()));
@@ -404,8 +408,9 @@ fn trace(args: &[String]) -> Result<(), String> {
 
 fn debug(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    let config = interp_config(&o)?;
     let (program, src) = compile_file(need_file(&o)?)?;
-    debug_cli::interactive(program, src, interp_config(&o))
+    debug_cli::interactive(program, src, config)
 }
 
 fn bench(args: &[String]) -> Result<(), String> {
@@ -446,4 +451,31 @@ fn bench(args: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     print!("{}", experiments::render_table(title, &rows));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::dispatch;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn interpreter_commands_reject_gil_with_a_pointer_to_sim() {
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/tetra/parallel_sum.tet");
+        for cmd in ["run", "profile", "trace", "debug"] {
+            let err = dispatch(&args(&[cmd, file, "--gil"])).unwrap_err();
+            assert!(err.contains("tetra sim --gil"), "{cmd}: {err}");
+        }
+    }
+
+    #[test]
+    fn removed_pool_flag_is_an_unknown_option() {
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/tetra/parallel_sum.tet");
+        for cmd in ["run", "sim"] {
+            let err = dispatch(&args(&[cmd, file, "--no-pool"])).unwrap_err();
+            assert!(err.starts_with("unknown option `--no-pool`"), "{cmd}: {err}");
+        }
+    }
 }

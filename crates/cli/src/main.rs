@@ -5,7 +5,7 @@
 //! driver adds the rest of the toolbox built in this reproduction:
 //!
 //! ```text
-//! tetra run <file.tet> [--threads N] [--gil] [--gc-stress] [--gc-stats]
+//! tetra run <file.tet> [--threads N] [--gc-stress] [--gc-stats]
 //!                      [--trace out.json] [--metrics] [--heap-profile]
 //! tetra profile <file.tet> [--flame out.folded]  # paths/lines/locks/heap/GC
 //! tetra check <file.tet>
@@ -13,7 +13,7 @@
 //! tetra ast <file.tet>
 //! tetra pretty <file.tet>
 //! tetra disasm <file.tet>
-//! tetra sim <file.tet> [--threads N] [--gil] [--heap-profile]
+//! tetra sim <file.tet> [--threads N] [--gil] [--static-chunks] [--heap-profile]
 //! tetra trace <file.tet> [--threads N]         # thread timeline + races
 //! tetra debug <file.tet>                       # interactive parallel debugger
 //! tetra bench (primes|tsp|sum|gil) [--threads 1,2,4,8]

@@ -22,8 +22,7 @@ use std::sync::Arc;
 use tetra_ast::{AssignOp, Block, Expr, NodeId, Stmt, StmtKind, Target};
 use tetra_intern::Symbol;
 use tetra_runtime::{
-    Env, ErrorKind, MutatorGuard, Object, RuntimeError, SlotLayout, ThreadCell, ThreadKind,
-    ThreadState, Value,
+    Env, ErrorKind, MutatorGuard, Object, RuntimeError, ThreadCell, ThreadKind, ThreadState, Value,
 };
 
 /// Control flow result of a statement.
@@ -54,24 +53,21 @@ impl ThreadCtx {
             StmtKind::Break => Ok(Flow::Break),
             StmtKind::Continue => Ok(Flow::Continue),
             StmtKind::Expr(e) => {
-                self.with_gil(|me| me.eval(e))?;
+                self.eval(e)?;
                 Ok(Flow::Normal)
             }
             StmtKind::Return(value) => {
                 let v = match value {
-                    Some(e) => self.with_gil(|me| me.eval(e))?,
+                    Some(e) => self.eval(e)?,
                     None => Value::None,
                 };
                 Ok(Flow::Return(v))
             }
             StmtKind::Assert { cond, message } => {
-                let ok = self.with_gil(|me| me.eval_bool(cond))?;
+                let ok = self.eval_bool(cond)?;
                 if !ok {
                     let msg = match message {
-                        Some(m) => {
-                            let v = self.with_gil(|me| me.eval(m))?;
-                            v.display()
-                        }
+                        Some(m) => self.eval(m)?.display(),
                         None => {
                             format!("assert failed: {}", tetra_ast::pretty::expr_to_source(cond))
                         }
@@ -81,15 +77,15 @@ impl ThreadCtx {
                 Ok(Flow::Normal)
             }
             StmtKind::Assign { target, op, value } => {
-                self.with_gil(|me| me.exec_assign(target, *op, value))?;
+                self.exec_assign(target, *op, value)?;
                 Ok(Flow::Normal)
             }
             StmtKind::If { cond, then, elifs, els } => {
-                if self.with_gil(|me| me.eval_bool(cond))? {
+                if self.eval_bool(cond)? {
                     return self.exec_block(then);
                 }
                 for (c, b) in elifs {
-                    if self.with_gil(|me| me.eval_bool(c))? {
+                    if self.eval_bool(c)? {
                         return self.exec_block(b);
                     }
                 }
@@ -99,7 +95,7 @@ impl ThreadCtx {
                 }
             }
             StmtKind::While { cond, body } => {
-                while self.with_gil(|me| me.eval_bool(cond))? {
+                while self.eval_bool(cond)? {
                     match self.exec_block(body)? {
                         Flow::Break => break,
                         Flow::Continue | Flow::Normal => {}
@@ -109,7 +105,7 @@ impl ThreadCtx {
                 Ok(Flow::Normal)
             }
             StmtKind::For { var, var_id, iter, body } => {
-                let items = self.with_gil(|me| me.eval_iterable(iter))?;
+                let items = self.eval_iterable(iter)?;
                 // Keep the container (temps) rooted for the loop's duration.
                 let mark = self.temp_mark();
                 for v in &items {
@@ -148,7 +144,7 @@ impl ThreadCtx {
                 Ok(Flow::Normal)
             }
             StmtKind::ParallelFor { var, iter, body, .. } => {
-                let items = self.with_gil(|me| me.eval_iterable(iter))?;
+                let items = self.eval_iterable(iter)?;
                 self.exec_parallel_for(*var, stmt.id, items, body)?;
                 Ok(Flow::Normal)
             }
@@ -335,22 +331,12 @@ impl ThreadCtx {
         result
     }
 
-    /// Run one logical thread per child statement and join them all. On
-    /// the pool path the arms execute as pool tasks (no OS-thread spawn);
-    /// `--no-pool` restores one dedicated thread per arm.
+    /// Run one logical thread per child statement and join them all. The
+    /// arms execute as pool tasks: still one logical Tetra thread per arm
+    /// (the registry, debugger and flame views see a thread per arm), but
+    /// the arm count is decoupled from the OS thread count — extra arms
+    /// queue on the pool, and the parent helps while it waits.
     fn exec_parallel(&mut self, body: &Block) -> Result<(), RuntimeError> {
-        if !self.shared.config.use_pool {
-            let handles = self.spawn_statements(body, ThreadKind::Parallel)?;
-            return self.join_children(handles);
-        }
-        self.parallel_pooled(body)
-    }
-
-    /// `parallel:` arms as pool tasks: still one logical Tetra thread per
-    /// arm (the registry, debugger and flame views are unchanged), but the
-    /// arm count is decoupled from the OS thread count — extra arms queue
-    /// on the pool, and the parent helps while it waits.
-    fn parallel_pooled(&mut self, body: &Block) -> Result<(), RuntimeError> {
         if body.stmts.is_empty() {
             return Ok(());
         }
@@ -363,11 +349,8 @@ impl ThreadCtx {
         let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(n);
         for i in 0..n {
             // Register the arm with the GC and the thread registry before
-            // it is queued, exactly as the spawn path does.
-            let guard = self
-                .shared
-                .heap
-                .register_spawned(&SpawnRoots { frames: frames.clone(), values: vec![] });
+            // it is queued.
+            let guard = self.shared.heap.register_spawned(&SpawnRoots { frames: frames.clone() });
             let cell = self.shared.threads.spawn(Some(self.cell.id), ThreadKind::Parallel);
             self.emit(ExecEvent::ThreadStart {
                 id: cell.id,
@@ -380,7 +363,7 @@ impl ThreadCtx {
             let arms = arms.clone();
             let results = results.clone();
             tasks.push(Box::new(move || {
-                let mut ctx = ThreadCtx::new_child(shared, guard, cell, env, vec![], spawn_node);
+                let mut ctx = ThreadCtx::new_child(shared, guard, cell, env, spawn_node);
                 let r = ctx.exec_stmt(&arms.stmts[i]);
                 ctx.finish_thread();
                 if let Err(e) = r {
@@ -391,8 +374,7 @@ impl ThreadCtx {
         self.cell.set_state(ThreadState::Joining);
         let pool_result = self.safe_region(|| self.shared.pool().run_calls(tasks));
         self.cell.set_state(ThreadState::Running);
-        // First error in statement order, matching the join order of the
-        // spawn path.
+        // First error in statement order.
         let first_error = results.lock().iter_mut().find_map(|r| r.take());
         match (first_error, pool_result) {
             (Some(e), _) => Err(e),
@@ -404,18 +386,9 @@ impl ThreadCtx {
         }
     }
 
-    /// Spawn one thread per child statement without joining.
+    /// Spawn one dedicated OS thread per child statement without joining;
+    /// `Interp::run` joins them when `main` returns.
     fn exec_background(&mut self, body: &Block) -> Result<(), RuntimeError> {
-        let handles = self.spawn_statements(body, ThreadKind::Background)?;
-        self.shared.background.lock().extend(handles);
-        Ok(())
-    }
-
-    fn spawn_statements(
-        &mut self,
-        body: &Block,
-        kind: ThreadKind,
-    ) -> Result<Vec<std::thread::JoinHandle<Result<(), RuntimeError>>>, RuntimeError> {
         let frames = self.current_env().frames().to_vec();
         // Children attribute to the call path that spawned them until they
         // call a function of their own.
@@ -423,19 +396,16 @@ impl ThreadCtx {
         // One shared clone of the block; each arm executes its own
         // statement out of it by index.
         let arms = Arc::new(body.clone());
-        let mut handles = Vec::with_capacity(arms.stmts.len());
         for i in 0..arms.stmts.len() {
             let arms = arms.clone();
             let shared = self.shared.clone();
             let env = Env::from_frames(frames.clone());
             // Register the child with the GC before its OS thread exists.
-            let guard = shared
-                .heap
-                .register_spawned(&SpawnRoots { frames: frames.clone(), values: vec![] });
-            let cell = shared.threads.spawn(Some(self.cell.id), kind);
+            let guard = shared.heap.register_spawned(&SpawnRoots { frames: frames.clone() });
+            let cell = shared.threads.spawn(Some(self.cell.id), ThreadKind::Background);
             self.emit(ExecEvent::ThreadStart {
                 id: cell.id,
-                kind,
+                kind: ThreadKind::Background,
                 parent: Some(self.cell.id),
                 line: arms.stmts[i].span.line,
             });
@@ -443,18 +413,22 @@ impl ThreadCtx {
                 .name(format!("tetra-{}", cell.id))
                 .stack_size(THREAD_STACK_SIZE)
                 .spawn(move || {
-                    let mut ctx =
-                        ThreadCtx::new_child(shared, guard, cell, env, vec![], spawn_node);
+                    let mut ctx = ThreadCtx::new_child(shared, guard, cell, env, spawn_node);
                     let result = ctx.exec_stmt(&arms.stmts[i]).map(|_| ());
                     ctx.finish_thread();
                     result
                 })
                 .map_err(|e| self.err(ErrorKind::Io, format!("could not spawn a thread: {e}")))?;
-            handles.push(handle);
+            self.shared.background.lock().push(handle);
         }
-        Ok(handles)
+        Ok(())
     }
 
+    /// `parallel for` on the work-stealing pool: the item snapshot stays
+    /// rooted in the parent, workers receive index ranges that split
+    /// adaptively as they are stolen, and `worker_threads` pre-created
+    /// logical Tetra threads give every range a stable identity (debugger,
+    /// race detector, flame) no matter which pool thread runs it.
     fn exec_parallel_for(
         &mut self,
         var: Symbol,
@@ -465,24 +439,6 @@ impl ThreadCtx {
         if items.is_empty() {
             return Ok(());
         }
-        if !self.shared.config.use_pool {
-            return self.parallel_for_spawned(var, stmt_id, items, body);
-        }
-        self.parallel_for_pooled(var, stmt_id, items, body)
-    }
-
-    /// `parallel for` on the work-stealing pool: the item snapshot stays
-    /// rooted in the parent, workers receive index ranges that split
-    /// adaptively as they are stolen, and `worker_threads` pre-created
-    /// logical Tetra threads give every range a stable identity (debugger,
-    /// race detector, flame) no matter which pool thread runs it.
-    fn parallel_for_pooled(
-        &mut self,
-        var: Symbol,
-        stmt_id: NodeId,
-        items: Vec<Value>,
-        body: &Block,
-    ) -> Result<(), RuntimeError> {
         let len = items.len();
         let workers = self.shared.config.worker_threads.clamp(1, len);
         let frames = self.current_env().frames().to_vec();
@@ -500,10 +456,7 @@ impl ThreadCtx {
         // Pre-create the logical workers; executors check one out per range.
         let mut slots = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let guard = self
-                .shared
-                .heap
-                .register_spawned(&SpawnRoots { frames: frames.clone(), values: vec![] });
+            let guard = self.shared.heap.register_spawned(&SpawnRoots { frames: frames.clone() });
             let cell = self.shared.threads.spawn(Some(self.cell.id), ThreadKind::ParallelFor);
             self.emit(ExecEvent::ThreadStart {
                 id: cell.id,
@@ -551,7 +504,6 @@ impl ThreadCtx {
                             guard,
                             cell,
                             env,
-                            vec![],
                             spawn_node,
                         )));
                     }
@@ -576,107 +528,6 @@ impl ThreadCtx {
                 "a spawned thread panicked (this is a bug in the interpreter)",
             )),
             (None, Ok(())) => Ok(()),
-        }
-    }
-
-    /// The `--no-pool` fallback: one freshly spawned OS thread per static
-    /// contiguous chunk (the pre-pool behaviour, kept as an escape hatch
-    /// and as the differential baseline for the pool path).
-    fn parallel_for_spawned(
-        &mut self,
-        var: Symbol,
-        stmt_id: NodeId,
-        items: Vec<Value>,
-        body: &Block,
-    ) -> Result<(), RuntimeError> {
-        let workers = self.shared.config.worker_threads.clamp(1, items.len());
-        let frames = self.current_env().frames().to_vec();
-        let spawn_node = self.current_stack_node();
-        let layout = self.shared.typed.resolution.pfor_layout(stmt_id);
-        let body = Arc::new(body.clone());
-        // Contiguous chunks, as even as possible.
-        let per = items.len().div_ceil(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for chunk in items.chunks(per) {
-            let shared = self.shared.clone();
-            let body = body.clone();
-            let layout: Arc<SlotLayout> = layout.clone();
-            // One copy of the chunk: it roots the items from registration
-            // until the thread starts, then becomes the context's initial
-            // temp roots.
-            let roots = SpawnRoots { frames: frames.clone(), values: chunk.to_vec() };
-            let guard = shared.heap.register_spawned(&roots);
-            let chunk = roots.values;
-            let cell = shared.threads.spawn(Some(self.cell.id), ThreadKind::ParallelFor);
-            self.emit(ExecEvent::ThreadStart {
-                id: cell.id,
-                kind: ThreadKind::ParallelFor,
-                parent: Some(self.cell.id),
-                line: self.line,
-            });
-            // The worker's private frame holds its induction variable copy.
-            let use_slots = !layout.is_empty();
-            let env = Env::from_frames(frames.clone()).with_private_layout(layout);
-            let handle = std::thread::Builder::new()
-                .name(format!("tetra-{}", cell.id))
-                .stack_size(THREAD_STACK_SIZE)
-                .spawn(move || {
-                    let n = chunk.len();
-                    let mut ctx = ThreadCtx::new_child(shared, guard, cell, env, chunk, spawn_node);
-                    let mut result = Ok(());
-                    for i in 0..n {
-                        let item = ctx.temps[i];
-                        if use_slots {
-                            ctx.current_env().write_slot(0, 0, item);
-                        } else {
-                            ctx.current_env().define(var, item);
-                        }
-                        if let Err(e) = ctx.exec_block(&body) {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                    ctx.finish_thread();
-                    result
-                })
-                .map_err(|e| self.err(ErrorKind::Io, format!("could not spawn a thread: {e}")))?;
-            handles.push(handle);
-        }
-        self.join_children(handles)
-    }
-
-    /// Join spawned children inside a GC safe region, propagating the first
-    /// child error.
-    fn join_children(
-        &mut self,
-        handles: Vec<std::thread::JoinHandle<Result<(), RuntimeError>>>,
-    ) -> Result<(), RuntimeError> {
-        self.cell.set_state(ThreadState::Joining);
-        let results: Vec<std::thread::Result<Result<(), RuntimeError>>> =
-            self.safe_region(|| handles.into_iter().map(|h| h.join()).collect());
-        self.cell.set_state(ThreadState::Running);
-        let mut first_error: Option<RuntimeError> = None;
-        for r in results {
-            match r {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Err(_) => {
-                    if first_error.is_none() {
-                        first_error = Some(self.err(
-                            ErrorKind::ThreadError,
-                            "a spawned thread panicked (this is a bug in the interpreter)",
-                        ));
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
         }
     }
 
@@ -732,8 +583,7 @@ struct PforJob {
     /// Rotates checkouts across the slots so consecutive ranges land on
     /// *different* logical threads even when one executor drains the whole
     /// loop (a one-core host): the program still presents `worker_threads`
-    /// threads to the debugger and the lockset race detector, exactly as
-    /// the spawn model did.
+    /// threads to the debugger and the lockset race detector.
     next_slot: AtomicUsize,
     available: Condvar,
     error: Mutex<Option<RuntimeError>>,
@@ -771,7 +621,6 @@ impl PforJob {
                         guard,
                         cell,
                         env,
-                        vec![],
                         self.spawn_node,
                     )),
                 };

@@ -7,15 +7,17 @@
 //!
 //! Key properties:
 //!
-//! * `parallel` / `background` / `parallel for` spawn genuine OS threads
-//!   (no GIL), sharing the parent's symbol-table frames;
+//! * `parallel` / `parallel for` run their logical threads on a persistent
+//!   work-stealing pool of OS threads (no GIL), and `background` spawns a
+//!   dedicated OS thread per statement; all share the parent's
+//!   symbol-table frames;
 //! * every thread is a registered GC mutator; blocking operations (lock
 //!   waits, joins, console reads) run inside GC safe regions;
 //! * a [`hooks::DebugHook`] can observe and pause each thread independently
-//!   (the engine under the paper's IDE);
-//! * an optional **GIL mode** serializes statement execution behind one
-//!   global mutex — the ablation used to reproduce the paper's argument
-//!   that Python's GIL makes true parallel speedup impossible (§I).
+//!   (the engine under the paper's IDE).
+//!
+//! The paper's GIL contrast (§I) is modelled by the VM simulator's
+//! `CostModel { gil }`, not here.
 //!
 //! ## Example
 //!
@@ -55,30 +57,18 @@ pub struct InterpConfig {
     /// Worker-thread cap for `parallel for` chunking. Defaults to the host's
     /// available parallelism.
     pub worker_threads: usize,
-    /// Simulate a CPython-style global interpreter lock (experiment E8).
-    pub gil: bool,
     /// Garbage collector tuning.
     pub gc: HeapConfig,
     /// Detect deadlocks/lock re-entry instead of hanging (default on).
     pub detect_deadlocks: bool,
-    /// Join still-running `background` threads when `main` returns (default
-    /// on: a library cannot kill threads the way process exit does).
-    pub join_background: bool,
-    /// Run `parallel for` / `parallel:` on the persistent work-stealing
-    /// pool (default). Off (`--no-pool`) falls back to the historical
-    /// spawn-one-thread-per-chunk path.
-    pub use_pool: bool,
 }
 
 impl Default for InterpConfig {
     fn default() -> Self {
         InterpConfig {
             worker_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            gil: false,
             gc: HeapConfig::default(),
             detect_deadlocks: true,
-            join_background: true,
-            use_pool: true,
         }
     }
 }
@@ -91,8 +81,8 @@ pub struct RunStats {
     pub threads_spawned: u32,
     /// (total lock acquisitions, contended acquisitions).
     pub lock_acquisitions: (u64, u64),
-    /// Work-stealing pool counters (all zero under `--no-pool` or when no
-    /// parallel construct ran).
+    /// Work-stealing pool counters (all zero when no `parallel` or
+    /// `parallel for` ran).
     pub pool: PoolStats,
 }
 
@@ -105,7 +95,6 @@ pub struct Shared {
     pub threads: Arc<ThreadRegistry>,
     pub console: ConsoleRef,
     pub hook: Option<Arc<dyn DebugHook>>,
-    pub gil: Option<Arc<Mutex<()>>>,
     pub(crate) background: Mutex<Vec<std::thread::JoinHandle<Result<(), RuntimeError>>>>,
     /// The work-stealing pool, created lazily on the first parallel
     /// construct and reused for the rest of the run.
@@ -149,7 +138,6 @@ impl Interp {
         let heap = Heap::new(config.gc.clone());
         let locks = Arc::new(LockRegistry::new());
         locks.set_detection(config.detect_deadlocks);
-        let gil = config.gil.then(|| Arc::new(Mutex::new(())));
         Interp {
             shared: Arc::new(Shared {
                 typed,
@@ -159,7 +147,6 @@ impl Interp {
                 threads: ThreadRegistry::new(),
                 console,
                 hook,
-                gil,
                 background: Mutex::new(Vec::new()),
                 pool: OnceLock::new(),
             }),
@@ -206,21 +193,11 @@ impl Interp {
         let mut ctx = ThreadCtx::new_main(self.shared.clone());
         let result = ctx.call_user(main_idx, &[]).map(|_| ());
         ctx.finish_thread();
-        // Main is done; deal with stragglers from `background:` blocks.
+        // Main is done; join the stragglers from `background:` blocks (a
+        // library cannot kill threads the way process exit does).
         let background: Vec<_> = std::mem::take(&mut *self.shared.background.lock());
-        let mut background_error: Option<RuntimeError> = None;
-        if self.shared.config.join_background {
-            let joined: Vec<_> =
-                ctx.safe_region(|| background.into_iter().map(|h| h.join()).collect());
-            for r in joined {
-                if let Ok(Err(e)) = r {
-                    background_error.get_or_insert(e);
-                }
-            }
-        } else {
-            // Detach: drop the handles; threads die with the process.
-            drop(background);
-        }
+        let joined: Vec<_> = ctx.safe_region(|| background.into_iter().map(|h| h.join()).collect());
+        let background_error = joined.into_iter().find_map(|r| r.ok().and_then(Result::err));
         drop(ctx);
         // Allocator/collector/pool counters go to the metrics registry once
         // per run — never from the hot paths.
@@ -522,24 +499,6 @@ def main():
     print(res)
 ";
         assert_eq!(run_ok(src), "[0, 1, 2, 3]\n");
-    }
-
-    #[test]
-    fn gil_mode_still_computes_correctly() {
-        let src = "\
-def main():
-    total = 0
-    parallel for i in [1 ... 100]:
-        lock t:
-            total += i
-    print(total)
-";
-        let typed = tetra_types::check(tetra_parser::parse(src).unwrap()).unwrap();
-        let console = BufferConsole::new();
-        let config = InterpConfig { gil: true, ..InterpConfig::default() };
-        let interp = Interp::new(typed, config, console.clone());
-        interp.run().unwrap();
-        assert_eq!(console.output(), "5050\n");
     }
 
     #[test]

@@ -75,19 +75,15 @@ impl RootSource for RootsView<'_> {
 }
 
 /// Root source used when registering spawned threads: the environment
-/// frames they will run in plus any values handed to them.
+/// frames they will run in.
 pub(crate) struct SpawnRoots {
     pub frames: Vec<FrameRef>,
-    pub values: Vec<Value>,
 }
 
 impl RootSource for SpawnRoots {
     fn roots(&self, sink: &mut RootSink) {
         for f in &self.frames {
             sink.frame(f);
-        }
-        for v in &self.values {
-            sink.value(*v);
         }
     }
 }
@@ -125,7 +121,6 @@ impl ThreadCtx {
         mutator: MutatorGuard,
         cell: Arc<ThreadCell>,
         env: Env,
-        initial_temps: Vec<Value>,
         spawn_node: u32,
     ) -> ThreadCtx {
         shared.heap.exit_spawn_region(&mutator);
@@ -134,7 +129,7 @@ impl ThreadCtx {
             mutator,
             cell,
             env_stack: vec![env],
-            temps: initial_temps,
+            temps: Vec::new(),
             held_locks: Vec::new(),
             call_depth: 0,
             line: 0,
@@ -297,18 +292,6 @@ impl ThreadCtx {
                 line: self.line,
                 locks: self.held_locks.clone(),
             });
-        }
-    }
-
-    /// Run `f` while holding the global interpreter lock, when GIL mode is
-    /// on (the `--gil` ablation, experiment E8).
-    pub fn with_gil<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        match self.shared.gil.clone() {
-            Some(gil) => {
-                let _guard = gil.lock();
-                f(self)
-            }
-            None => f(self),
         }
     }
 }

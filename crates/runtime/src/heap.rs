@@ -754,7 +754,7 @@ impl Heap {
         // below are no-ops without an active tracing session.
         let collection = self.collections.load(Ordering::Relaxed) as u32 + 1;
         let pause_start = Instant::now();
-        let obs_pause = tetra_obs::now_ns();
+        let obs_pause = tetra_obs::metric_now_ns();
         {
             let slot = ctrl.slots.get_mut(&m.id).expect("mutator deregistered");
             slot.parked = true;

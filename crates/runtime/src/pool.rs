@@ -388,8 +388,7 @@ impl WorkerPool {
     /// deadlock the program exhibits with true per-arm threads could
     /// silently fail to form). Idle workers get a short grace period to
     /// claim the arms; any arm still queued after it is escalated to a
-    /// dedicated spare thread, which is exactly the old spawn-per-arm
-    /// behaviour as a fallback.
+    /// dedicated spare thread of its own.
     pub fn run_calls(&self, tasks: Vec<Box<dyn FnOnce() + Send>>) -> Result<(), PoolPanic> {
         if tasks.is_empty() {
             return Ok(());

@@ -65,7 +65,7 @@ pub struct VmConfig {
     pub workers: usize,
     /// Model the runtime pool's adaptive chunking: workers claim
     /// shrinking chunks from a shared cursor instead of taking one static
-    /// contiguous chunk each (the `--no-pool` model).
+    /// contiguous chunk each (`tetra sim --static-chunks`).
     pub dynamic_chunking: bool,
     pub cost: CostModel,
     pub gc: HeapConfig,
@@ -419,8 +419,9 @@ impl<'p> Scheduler<'p> {
                 let spawn_cost = self.config.cost.spawn;
                 // Dynamic chunking: all workers read one shared table and
                 // claim shrinking ranges from a common cursor, modeling the
-                // interpreter pool's split-on-steal. Static (--no-pool):
-                // each worker gets one contiguous chunk up front.
+                // interpreter pool's split-on-steal. Static
+                // (--static-chunks): each worker gets one contiguous chunk
+                // up front.
                 let share = if self.config.dynamic_chunking {
                     Some(std::sync::Arc::new(FeedShare::new(items.len(), workers)))
                 } else {

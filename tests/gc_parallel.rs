@@ -8,8 +8,9 @@ use tetra::runtime::heap::{NoRoots, RootSink, RootSource};
 use tetra::runtime::{Heap, HeapConfig, Value};
 use tetra::{BufferConsole, InterpConfig, Tetra, VmConfig};
 
-/// Observability sessions are process-global; serialize the tests that use
-/// one (same pattern as tests/flame_and_heap.rs).
+/// Observability sessions are process-global, and every heap records its
+/// collections into an active session's metrics; serialize the tests that
+/// open a session or collect (same pattern as tests/flame_and_heap.rs).
 static SESSION_GUARD: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
@@ -58,6 +59,7 @@ def main():
 
 #[test]
 fn parallel_alloc_storm_matches_single_threaded_run() {
+    let _guard = exclusive();
     // The unstressed single-threaded run is the oracle; stress-mode runs at
     // 1 and 4 workers must produce byte-identical output (no lost objects).
     let (oracle, _) = run_interp(ALLOC_STORM, 1, false);
@@ -71,6 +73,7 @@ fn parallel_alloc_storm_matches_single_threaded_run() {
 
 #[test]
 fn allocator_counters_account_for_every_allocation() {
+    let _guard = exclusive();
     let (_, stats) = run_interp(ALLOC_STORM, 4, true);
     // Every allocation is either a free-list pop or a one-chunk refill;
     // there is no third (locked) path for it to disappear into.
@@ -85,6 +88,7 @@ fn allocator_counters_account_for_every_allocation() {
 
 #[test]
 fn vm_survives_the_same_storm_under_stress() {
+    let _guard = exclusive();
     let p = Tetra::compile(ALLOC_STORM).unwrap();
     let console = BufferConsole::new();
     let cfg = VmConfig {
@@ -98,6 +102,7 @@ fn vm_survives_the_same_storm_under_stress() {
 
 #[test]
 fn spawn_exit_churn_under_stress_terminates_cleanly() {
+    let _guard = exclusive();
     // Repeated parallel-for waves spawn and retire mutators while stress
     // collections fire constantly — exercising mutator exit with the
     // gc_flag raised and pooled-segment reuse across waves.
@@ -118,6 +123,7 @@ def main():
 
 #[test]
 fn forced_gc_in_parallel_region_uses_multiple_mark_workers() {
+    let _guard = exclusive();
     // The parallel-mark gate counts top-level root values, so main recurses
     // 40 frames deep with two string locals pinned per frame (80+ roots)
     // before blocking on the join. Workers then call gc(): at least two
@@ -146,6 +152,35 @@ def main():
     // Sum of the two padding-string lengths over depths 0..=40.
     assert_eq!(console.output(), "226\n");
     assert!(stats.gc.mark_workers >= 2, "parallel mark never engaged: {:?}", stats.gc);
+}
+
+#[test]
+fn metrics_only_pause_histogram_matches_gc_stats() {
+    // Without a trace, `gc.pause_ns` must still time each pause, not the
+    // time since the session began.
+    let _guard = exclusive();
+    tetra::obs::session::begin(tetra::obs::session::Config {
+        trace: false,
+        metrics: true,
+        ..Default::default()
+    });
+    let p = Tetra::compile(ALLOC_STORM).unwrap();
+    let config = InterpConfig {
+        gc: HeapConfig { stress: true, ..HeapConfig::default() },
+        worker_threads: 4,
+        ..InterpConfig::default()
+    };
+    let stats = p.run_with(config, BufferConsole::new()).unwrap_or_else(|e| panic!("{e}"));
+    let trace = tetra::obs::session::end();
+    let h = &trace.metrics.histograms["gc.pause_ns"];
+    assert_eq!(h.count, stats.gc.collections, "{:?}", stats.gc);
+    let expected = stats.gc.pause_total_us * 1000;
+    assert!(
+        h.sum <= 2 * expected && 2 * h.sum >= expected,
+        "gc.pause_ns sum {} ns vs GcStats pause total {} us",
+        h.sum,
+        stats.gc.pause_total_us
+    );
 }
 
 struct VecRoots(Vec<Value>);
@@ -203,6 +238,7 @@ fn heap_profiler_census_matches_live_bytes_exactly() {
 
 #[test]
 fn gc_stats_phase_times_are_populated() {
+    let _guard = exclusive();
     let heap = Heap::new(HeapConfig::default());
     let m = heap.register_mutator();
     let mut kept = Vec::new();

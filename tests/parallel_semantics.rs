@@ -2,7 +2,7 @@
 //! (paper §II and §IV), exercised through the public API.
 
 use std::sync::Arc;
-use tetra::{BufferConsole, InterpConfig, Tetra};
+use tetra::{BufferConsole, InterpConfig, Tetra, VmConfig};
 
 fn run(src: &str) -> String {
     let p = Tetra::compile(src).unwrap_or_else(|e| panic!("{}", e.render()));
@@ -236,9 +236,12 @@ def main():
             total += i
     print(total)
 ";
+    // The GIL is the simulator's cost model (experiment E8): it may slow
+    // the workers down, never change what they compute.
     let p = Tetra::compile(src).unwrap();
     let console = BufferConsole::new();
-    p.run_with(InterpConfig { gil: true, ..InterpConfig::default() }, console.clone()).unwrap();
+    let cost = tetra::vm::CostModel { gil: true, ..Default::default() };
+    p.simulate_with(VmConfig { workers: 4, cost, ..VmConfig::default() }, console.clone()).unwrap();
     assert_eq!(console.output(), "45150\n");
 }
 
@@ -273,7 +276,8 @@ def main():
     launch(a)
     print(\"launched\")
 ";
-    // join_background (default) waits for the writer before returning.
+    // `run` joins background threads when main returns, so it waits for
+    // the writer before returning.
     let p = Tetra::compile(src).unwrap();
     let console = BufferConsole::new();
     p.run_with(InterpConfig::default(), Arc::clone(&console) as _).unwrap();

@@ -1,85 +1,50 @@
-//! Scheduler-pool integration tests: load balancing on skewed loops,
-//! pool-vs-`--no-pool` differentials (the pool must never change program
-//! output), and nested-construct no-deadlock regressions.
-//!
-//! Observability sessions are process-global, so tests that read metrics
-//! counters take `SESSION_GUARD` first (the harness runs tests on
-//! parallel threads by default).
+//! Scheduler-pool integration tests: differentials against independent
+//! references (the pool must never change program output), and
+//! nested-construct no-deadlock regressions. The steal-engagement test
+//! reads process-global obs counters, so it lives alone in
+//! tests/sched_pool_stealing.rs.
 
 use proptest::prelude::*;
 use std::sync::mpsc;
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use tetra::{programs, BufferConsole, InterpConfig, RunStats, Tetra, VmConfig};
-
-static SESSION_GUARD: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    SESSION_GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn compile(src: &str) -> Tetra {
     Tetra::compile(src).unwrap_or_else(|e| panic!("compile:\n{}", e.render()))
 }
 
-/// Run under the interpreter with an explicit pool setting, returning the
+/// Run under the interpreter on a pool of `threads` workers, returning the
 /// program output and the run stats (which carry the pool counters).
-fn run_interp(src: &str, threads: usize, use_pool: bool) -> (String, RunStats) {
+fn run_interp(src: &str, threads: usize) -> (String, RunStats) {
     let program = compile(src);
     let console = BufferConsole::new();
-    let cfg = InterpConfig { worker_threads: threads, use_pool, ..InterpConfig::default() };
+    let cfg = InterpConfig { worker_threads: threads, ..InterpConfig::default() };
     let stats = program.run_with(cfg, console.clone()).unwrap_or_else(|e| panic!("run: {e}"));
     (console.output(), stats)
 }
 
-#[test]
-fn skewed_workload_engages_stealing_and_balances() {
-    let _guard = exclusive();
-    let src = programs::skewed(64);
-    let program = compile(&src);
-    tetra::obs::session::begin(tetra::obs::session::Config { metrics: true, ..Default::default() });
+fn run_sim(src: &str, workers: usize, dynamic_chunking: bool) -> String {
     let console = BufferConsole::new();
-    let cfg = InterpConfig { worker_threads: 4, use_pool: true, ..InterpConfig::default() };
-    let stats = program.run_with(cfg, console.clone()).expect("skewed run");
-    let trace = tetra::obs::session::end();
-
-    // The last seeded range holds the quadratically heaviest items, so the
-    // early-finishing workers must have stolen from it (or the helper must
-    // have pitched in): the loop cannot have run as four static chunks.
-    assert!(
-        stats.pool.steals + stats.pool.submitter_tasks > 0,
-        "no rebalancing on a 10x-skewed loop: {:?}",
-        stats.pool
-    );
-    assert!(stats.pool.tasks_executed > 4, "ranges never split: {:?}", stats.pool);
-    assert!(stats.pool.range_splits > 0, "adaptive splitting never ran: {:?}", stats.pool);
-
-    // The same engagement must be visible to `tetra profile` through the
-    // published obs counters.
-    let tasks = trace.metrics.counters.get("pool.tasks").copied().unwrap_or(0);
-    assert_eq!(tasks, stats.pool.tasks_executed, "obs counter mismatch");
-    let steals = trace.metrics.counters.get("pool.steals").copied().unwrap_or(0);
-    let submitter = trace.metrics.counters.get("pool.submitter_tasks").copied().unwrap_or(0);
-    assert_eq!(steals + submitter, stats.pool.steals + stats.pool.submitter_tasks);
-
-    // And the answer must still be right.
-    let (expected, _) = run_interp(&src, 4, false);
-    assert_eq!(console.output(), expected);
+    let cfg = VmConfig { workers, dynamic_chunking, ..VmConfig::default() };
+    compile(src).simulate_with(cfg, console.clone()).unwrap_or_else(|e| panic!("sim: {e}"));
+    console.output()
 }
 
-#[test]
-fn no_pool_runs_produce_zero_pool_stats() {
-    let (_, with_pool) = run_interp(&programs::skewed(16), 2, true);
-    assert!(with_pool.pool.tasks_executed > 0);
-    let (_, without) = run_interp(&programs::skewed(16), 2, false);
-    assert_eq!(without.pool.tasks_executed, 0, "--no-pool must bypass the pool entirely");
-    assert_eq!(without.pool.steals, 0);
+/// Outputs the pooled interpreter at `threads` workers must reproduce: the
+/// VM simulator with guided and with static chunking at the same worker
+/// count, and the interpreter on a single worker.
+fn references(src: &str, threads: usize) -> [(&'static str, String); 3] {
+    [
+        ("vm dynamic chunking", run_sim(src, threads, true)),
+        ("vm static chunking", run_sim(src, threads, false)),
+        ("interp T=1", run_interp(src, 1).0),
+    ]
 }
 
-/// Deterministic fixed programs whose output must be identical with and
-/// without the pool, and with and without the VM's dynamic chunking.
+/// Deterministic fixed programs whose pooled output must match every
+/// reference.
 #[test]
-fn pool_and_no_pool_agree_on_fixed_corpus() {
+fn pool_agrees_with_references_on_fixed_corpus() {
     let corpus: Vec<String> = vec![
         programs::skewed(32),
         programs::locked_counter(200),
@@ -92,22 +57,10 @@ fn pool_and_no_pool_agree_on_fixed_corpus() {
             .into(),
     ];
     for src in &corpus {
-        let (pooled, _) = run_interp(src, 4, true);
-        let (spawned, _) = run_interp(src, 4, false);
-        assert_eq!(pooled, spawned, "pool changed interpreter output for:\n{src}");
-
-        let program = compile(src);
-        let dyn_console = BufferConsole::new();
-        let cfg = VmConfig { workers: 4, dynamic_chunking: true, ..VmConfig::default() };
-        program.simulate_with(cfg, dyn_console.clone()).expect("vm dynamic");
-        let static_console = BufferConsole::new();
-        let cfg = VmConfig { workers: 4, dynamic_chunking: false, ..VmConfig::default() };
-        program.simulate_with(cfg, static_console.clone()).expect("vm static");
-        assert_eq!(
-            dyn_console.output(),
-            static_console.output(),
-            "dynamic chunking changed VM output for:\n{src}"
-        );
+        let (pooled, _) = run_interp(src, 4);
+        for (label, expected) in references(src, 4) {
+            assert_eq!(pooled, expected, "pooled T=4 differs from {label} for:\n{src}");
+        }
     }
 }
 
@@ -132,7 +85,7 @@ def main():
         total += h
     print(total)
 ";
-    let (out, _) = run_interp(src, 2, true);
+    let (out, _) = run_interp(src, 2);
     assert_eq!(out, "6\n");
 }
 
@@ -158,7 +111,7 @@ def main():
             stage += 1
     print(stage)
 ";
-    let (out, _) = run_interp(src, 1, true);
+    let (out, _) = run_interp(src, 1);
     assert_eq!(out, "3\n");
 }
 
@@ -180,7 +133,7 @@ def main():
     let (tx, rx) = mpsc::channel();
     let src_owned = src.to_string();
     std::thread::spawn(move || {
-        let (out, stats) = run_interp(&src_owned, 2, true);
+        let (out, stats) = run_interp(&src_owned, 2);
         let _ = tx.send((out, stats));
     });
     let (out, stats) =
@@ -206,7 +159,7 @@ def main():
     let (tx, rx) = mpsc::channel();
     let src_owned = src.to_string();
     std::thread::spawn(move || {
-        let _ = tx.send(run_interp(&src_owned, 2, true));
+        let _ = tx.send(run_interp(&src_owned, 2));
     });
     let (out, _) = rx
         .recv_timeout(Duration::from_secs(60))
@@ -268,9 +221,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Generated bodies inside a single-item `parallel for` (deterministic
-    /// output): the pool path and the spawn path must print the same thing.
+    /// output): the pooled interpreter must print what every reference does.
     #[test]
-    fn generated_parallel_bodies_agree_with_and_without_pool(
+    fn generated_parallel_bodies_agree_with_references(
         stmts in prop::collection::vec(mini_stmt(), 1..5)
     ) {
         let mut body = String::new();
@@ -279,13 +232,14 @@ proptest! {
             "def main():\n    a = 1\n    b = 2\n    c = 3\n    \
              parallel for w in [7]:\n{body}    print(a, \" \", b, \" \", c)\n"
         );
-        let (pooled, _) = run_interp(&src, 4, true);
-        let (spawned, _) = run_interp(&src, 4, false);
-        prop_assert_eq!(&pooled, &spawned, "pool changed output for:\n{}", src);
+        let (pooled, _) = run_interp(&src, 4);
+        for (label, expected) in references(&src, 4) {
+            prop_assert_eq!(&pooled, &expected, "pool differs from {} for:\n{}", label, src);
+        }
     }
 
     /// Order-independent accumulation over many items: every chunking —
-    /// static spawn, pool, VM dynamic or static — must reach the same sum.
+    /// pool at T=3 and T=1, VM dynamic or static — must reach the same sum.
     #[test]
     fn generated_accumulations_agree_across_all_schedulers(
         n in 1i64..24,
@@ -295,25 +249,9 @@ proptest! {
             "def main():\n    total = 0\n    parallel for i in [1 ... {n}]:\n        \
              lock t:\n            total += i * {mult}\n    print(total)\n"
         );
-        let (pooled, _) = run_interp(&src, 3, true);
-        let (spawned, _) = run_interp(&src, 3, false);
-        prop_assert_eq!(&pooled, &spawned);
-        let program = compile(&src);
-        let c1 = BufferConsole::new();
-        program
-            .simulate_with(
-                VmConfig { workers: 3, dynamic_chunking: true, ..VmConfig::default() },
-                c1.clone(),
-            )
-            .expect("vm dynamic");
-        let c2 = BufferConsole::new();
-        program
-            .simulate_with(
-                VmConfig { workers: 3, dynamic_chunking: false, ..VmConfig::default() },
-                c2.clone(),
-            )
-            .expect("vm static");
-        prop_assert_eq!(c1.output(), c2.output());
-        prop_assert_eq!(pooled, c2.output());
+        let (pooled, _) = run_interp(&src, 3);
+        for (label, expected) in references(&src, 3) {
+            prop_assert_eq!(&pooled, &expected, "pool differs from {}", label);
+        }
     }
 }
