@@ -1,10 +1,12 @@
 //! The deterministic scheduler and virtual-time simulator.
 //!
 //! This is the substitution for the paper's 8-core testbed (DESIGN.md §2):
-//! VM threads are interleaved one instruction at a time — always the
+//! virtual time is charged one instruction at a time — always to the
 //! runnable thread with the smallest virtual clock — so runs are exactly
-//! reproducible on any host, including the single-core CI container this
-//! reproduction was built in.
+//! reproducible on any host, whatever its core count. A thread may
+//! *execute* thread-private instructions ahead of that order (see the main
+//! loop); their charges still land where the per-instruction schedule puts
+//! them.
 //!
 //! Virtual time models the paper's own explanation of its 62.5 % efficiency:
 //! "the sharing of data structures amongst interpreter threads" (§IV).
@@ -56,6 +58,69 @@ impl Default for CostModel {
             gil: false,
         }
     }
+}
+
+impl CostModel {
+    /// Charge one executed instruction of class `cost` to a thread's clock
+    /// (`vtime`) and the shared runtime resource (`runtime_free`).
+    fn charge(&self, vtime: &mut u64, runtime_free: &mut u64, cost: CostClass) {
+        let (parallel, serial) = match cost {
+            CostClass::Basic => (self.instr_parallel, self.instr_serial),
+            CostClass::SharedAccess => (self.instr_parallel, self.instr_serial * 2),
+            CostClass::Alloc => (self.instr_parallel, self.instr_serial + self.alloc_serial),
+            CostClass::Builtin => (self.instr_parallel, self.instr_serial + self.builtin_serial),
+            CostClass::Sleep(ms) => (ms * self.units_per_ms, 0),
+        };
+        if self.gil {
+            let start = (*vtime).max(*runtime_free);
+            *vtime = start + parallel + serial;
+            *runtime_free = *vtime;
+        } else {
+            *vtime += parallel;
+            if serial > 0 {
+                let start = (*vtime).max(*runtime_free);
+                *vtime = start + serial;
+                *runtime_free = *vtime;
+            }
+        }
+    }
+
+    /// Charge `n` consecutive `Basic` instructions of one thread at once:
+    /// identical to `n` calls of [`CostModel::charge`] when no other
+    /// thread charges in between (after the first, the thread itself
+    /// holds the shared resource).
+    fn charge_basic_run(&self, vtime: &mut u64, runtime_free: &mut u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let (p, s) = (self.instr_parallel, self.instr_serial);
+        if self.gil {
+            *vtime = (*vtime).max(*runtime_free) + n * (p + s);
+            *runtime_free = *vtime;
+        } else if s > 0 {
+            *vtime = (*vtime + p).max(*runtime_free) + s + (n - 1) * (p + s);
+            *runtime_free = *vtime;
+        } else {
+            *vtime += n * p;
+        }
+    }
+}
+
+/// Most instructions one thread runs per dispatch, or ahead of its clock.
+const QUANTUM: u32 = 256;
+
+/// The [`World`] view of a scheduler's fields, built from disjoint field
+/// borrows so a thread in `threads` can be stepped mutably beside it.
+macro_rules! world {
+    ($sched:ident) => {
+        World {
+            program: $sched.program,
+            heap: &$sched.heap,
+            mutator: &$sched.mutator,
+            registry: &$sched.registry,
+            console: &$sched.console,
+        }
+    };
 }
 
 /// Simulator configuration.
@@ -127,6 +192,10 @@ struct Scheduler<'p> {
     registry: Arc<Registry>,
     console: ConsoleRef,
     threads: Vec<VmThread>,
+    /// Ids of the threads that are not `Done`: the only ones a pick scans.
+    live: Vec<u32>,
+    /// Live `background:` threads. While any runs, nobody runs ahead.
+    live_background: u32,
     locks: HashMap<String, SimLock>,
     /// Shared-runtime resource availability (virtual time).
     runtime_free: u64,
@@ -148,6 +217,8 @@ impl<'p> Scheduler<'p> {
             registry,
             console,
             threads: Vec::new(),
+            live: Vec::new(),
+            live_background: 0,
             locks: HashMap::new(),
             runtime_free: 0,
             next_id: 0,
@@ -170,6 +241,7 @@ impl<'p> Scheduler<'p> {
         let mut t = VmThread::new(id, parent, unit, locals, outers, &self.registry, shadow_node);
         t.vtime = at_time;
         self.threads.push(t);
+        self.live.push(id);
         id
     }
 
@@ -192,21 +264,8 @@ impl<'p> Scheduler<'p> {
         self.new_thread(None, main_unit, locals, Vec::new(), 0, main_node);
 
         loop {
-            // Pick the runnable thread with the smallest virtual clock
-            // (ties by id → fully deterministic).
-            let mut runnable = 0u32;
-            let mut tid_opt: Option<(u64, u32)> = None;
-            for t in &self.threads {
-                if t.state == VmState::Runnable {
-                    runnable += 1;
-                    let key = (t.vtime, t.id);
-                    if tid_opt.is_none() || key < tid_opt.unwrap() {
-                        tid_opt = Some(key);
-                    }
-                }
-            }
-            let Some((_, tid)) = tid_opt else {
-                if self.threads.iter().all(|t| t.state == VmState::Done) {
+            let Some((tid, runnable)) = self.pick() else {
+                if self.live.is_empty() {
                     break;
                 }
                 // Deadlock (or a join that can never complete): raise into
@@ -234,126 +293,37 @@ impl<'p> Scheduler<'p> {
                 continue;
             };
 
-            // Run the chosen thread for a bounded batch of instructions —
-            // but only while it is the ONLY runnable thread. With several
-            // runnable threads the scheduler must interleave instruction by
-            // instruction so the virtual-time resource queueing (and lock
-            // acquisition order) is modeled faithfully; with one thread,
-            // batching is semantically identical and slashes overhead.
-            let batch: u32 = if runnable == 1 { 256 } else { 1 };
+            // With several runnable threads, virtual time is charged one
+            // instruction per pick, so the shared-resource queueing and the
+            // lock acquisition order are modeled faithfully. Executing a
+            // private instruction (`step_quantum`) commutes with every
+            // other thread's work, so it may run *ahead* of its charge: the
+            // thread banks the surplus as credit and later picks charge it
+            // without dispatching. Each charge still lands exactly where
+            // the per-instruction schedule puts it, and every other
+            // instruction still executes only once all of its thread's
+            // earlier instructions are charged. A live `background:` child
+            // is the one runnable thread that can read another runnable
+            // thread's locals (its parent's), so it turns running ahead
+            // off. With one runnable thread, the leftover credit is charged
+            // in bulk and the thread runs a whole quantum.
             let idx = tid as usize;
-            let mut pending: Option<Outcome> = None;
-            // Dispatch spans are flushed whenever the thread's shadow call
-            // path changes (Call/Return), so each VmDispatch event covers
-            // exactly one call path and can feed the flame output.
-            let mut batch_start = tetra_obs::now_ns();
-            let mut batch_node = self.threads[idx].current_shadow_node();
-            let mut batch_count: u32 = 0;
-            let mut dispatched: u32 = 0;
-            while dispatched < batch {
-                // Fast path within the quantum: run allocation-free
-                // instructions under a single locals/stack lock acquisition
-                // instead of relocking per instruction. All of them cost
-                // `Basic`; the charge below is instruction-for-instruction
-                // identical to the per-step accounting.
-                if batch > 1 {
-                    let world = World {
-                        program: self.program,
-                        heap: &self.heap,
-                        mutator: &self.mutator,
-                        registry: &self.registry,
-                        console: &self.console,
-                    };
-                    let n = self.threads[idx].step_quantum(&world, batch - dispatched);
-                    if n > 0 {
-                        self.instructions += n as u64;
-                        dispatched += n;
-                        // The quantum never executes Call/Return, so the
-                        // shadow node cannot have changed.
-                        batch_count += n;
-                        let m = &self.config.cost;
-                        let (p, s) = (m.instr_parallel, m.instr_serial);
-                        let thread = &mut self.threads[idx];
-                        if m.gil {
-                            let start = thread.vtime.max(self.runtime_free);
-                            thread.vtime = start + (n as u64) * (p + s);
-                            self.runtime_free = thread.vtime;
-                        } else if s > 0 {
-                            thread.vtime += p;
-                            let start = thread.vtime.max(self.runtime_free);
-                            thread.vtime = start + s + (n as u64 - 1) * (p + s);
-                            self.runtime_free = thread.vtime;
-                        } else {
-                            thread.vtime += n as u64 * p;
-                        }
-                        if dispatched >= batch {
-                            break;
-                        }
-                    }
+            if runnable > 1 {
+                let t = &mut self.threads[idx];
+                if t.credit > 0 {
+                    t.credit -= 1;
+                    self.config.cost.charge(&mut t.vtime, &mut self.runtime_free, CostClass::Basic);
+                    continue;
                 }
-                // Disjoint field borrows: the stepped thread is mutable;
-                // the world pieces and cost bookkeeping are other fields.
-                let world = World {
-                    program: self.program,
-                    heap: &self.heap,
-                    mutator: &self.mutator,
-                    registry: &self.registry,
-                    console: &self.console,
-                };
-                let thread = &mut self.threads[idx];
-                let stepped = thread.step(&world);
-                self.instructions += 1;
-                dispatched += 1;
-                batch_count += 1;
-                let (outcome, cost) = match stepped {
-                    Ok(x) => x,
-                    Err(e) => {
-                        // Raise into the thread's handlers (or its parent).
-                        self.deliver(tid, e)?;
-                        pending = None;
-                        break;
-                    }
-                };
-                // Inline cost charging (same model as `charge`).
-                let m = &self.config.cost;
-                let (parallel, serial) = match cost {
-                    CostClass::Basic => (m.instr_parallel, m.instr_serial),
-                    CostClass::SharedAccess => (m.instr_parallel, m.instr_serial * 2),
-                    CostClass::Alloc => (m.instr_parallel, m.instr_serial + m.alloc_serial),
-                    CostClass::Builtin => (m.instr_parallel, m.instr_serial + m.builtin_serial),
-                    CostClass::Sleep(ms) => (ms * m.units_per_ms, 0),
-                };
-                if m.gil {
-                    let start = thread.vtime.max(self.runtime_free);
-                    thread.vtime = start + parallel + serial;
-                    self.runtime_free = thread.vtime;
-                } else {
-                    thread.vtime += parallel;
-                    if serial > 0 {
-                        let start = thread.vtime.max(self.runtime_free);
-                        thread.vtime = start + serial;
-                        self.runtime_free = thread.vtime;
-                    }
+                if self.live_background == 0 && self.run_ahead(tid) {
+                    continue;
                 }
-                // A Call or Return moved the thread onto a different call
-                // path: flush the batch so far under the old node.
-                let node = thread.current_shadow_node();
-                if node != batch_node {
-                    tetra_obs::vm_dispatch(tid, batch_count, batch_start, batch_node);
-                    batch_start = tetra_obs::now_ns();
-                    batch_count = 0;
-                    batch_node = node;
-                }
-                if !matches!(outcome, Outcome::Normal) {
-                    pending = Some(outcome);
-                    break;
-                }
-            }
-            if batch_count > 0 {
-                tetra_obs::vm_dispatch(tid, batch_count, batch_start, batch_node);
-            }
-            if let Some(outcome) = pending {
-                self.handle(tid, outcome)?;
+                self.dispatch(tid, 1)?;
+            } else {
+                let t = &mut self.threads[idx];
+                let credit = std::mem::take(&mut t.credit) as u64;
+                self.config.cost.charge_basic_run(&mut t.vtime, &mut self.runtime_free, credit);
+                self.dispatch(tid, QUANTUM)?;
             }
         }
 
@@ -367,6 +337,119 @@ impl<'p> Scheduler<'p> {
             lock_contentions: self.lock_contentions,
             gc: self.heap.stats(),
         })
+    }
+
+    /// The runnable thread with the smallest `(vtime, id)` (ties by id →
+    /// fully deterministic), with the number of runnable threads.
+    fn pick(&self) -> Option<(u32, u32)> {
+        let mut runnable = 0u32;
+        let mut best: Option<(u64, u32)> = None;
+        for &id in &self.live {
+            let t = &self.threads[id as usize];
+            if matches!(t.state, VmState::Runnable) {
+                runnable += 1;
+                let key = (t.vtime, id);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+        }
+        best.map(|(_, id)| (id, runnable))
+    }
+
+    /// Run `tid` ahead of its virtual clock: execute up to a quantum of
+    /// private instructions now, charge the first and bank the rest as
+    /// credit. Returns false when its next instruction is not private.
+    fn run_ahead(&mut self, tid: u32) -> bool {
+        let start = tetra_obs::now_ns();
+        let world = world!(self);
+        let t = &mut self.threads[tid as usize];
+        let n = t.step_quantum(&world, QUANTUM);
+        if n == 0 {
+            return false;
+        }
+        // The quantum never executes Call/Return, so one dispatch event
+        // covers it under a single call path.
+        tetra_obs::vm_dispatch(tid, n, start, t.current_shadow_node());
+        self.instructions += n as u64;
+        t.credit = n - 1;
+        self.config.cost.charge(&mut t.vtime, &mut self.runtime_free, CostClass::Basic);
+        true
+    }
+
+    /// Execute and charge up to `batch` instructions of `tid`, stopping
+    /// early at any outcome the scheduler must handle.
+    fn dispatch(&mut self, tid: u32, batch: u32) -> Result<(), RuntimeError> {
+        let idx = tid as usize;
+        let mut pending: Option<Outcome> = None;
+        // Dispatch spans are flushed whenever the thread's shadow call
+        // path changes (Call/Return), so each VmDispatch event covers
+        // exactly one call path and can feed the flame output.
+        let mut batch_start = tetra_obs::now_ns();
+        let mut batch_node = self.threads[idx].current_shadow_node();
+        let mut batch_count: u32 = 0;
+        let mut dispatched: u32 = 0;
+        while dispatched < batch {
+            // Fast path within the quantum: run private instructions under
+            // a single locals/stack lock acquisition instead of relocking
+            // per instruction. All of them cost `Basic`, and the closed
+            // form below equals charging them one by one.
+            if batch > 1 {
+                let world = world!(self);
+                let t = &mut self.threads[idx];
+                let n = t.step_quantum(&world, batch - dispatched);
+                if n > 0 {
+                    self.instructions += n as u64;
+                    dispatched += n;
+                    // The quantum never executes Call/Return, so the
+                    // shadow node cannot have changed.
+                    batch_count += n;
+                    self.config.cost.charge_basic_run(
+                        &mut t.vtime,
+                        &mut self.runtime_free,
+                        n as u64,
+                    );
+                    if dispatched >= batch {
+                        break;
+                    }
+                }
+            }
+            let world = world!(self);
+            let thread = &mut self.threads[idx];
+            let stepped = thread.step(&world);
+            self.instructions += 1;
+            dispatched += 1;
+            batch_count += 1;
+            let (outcome, cost) = match stepped {
+                Ok(x) => x,
+                Err(e) => {
+                    // Raise into the thread's handlers (or its parent).
+                    self.deliver(tid, e)?;
+                    break;
+                }
+            };
+            self.config.cost.charge(&mut thread.vtime, &mut self.runtime_free, cost);
+            // A Call or Return moved the thread onto a different call
+            // path: flush the batch so far under the old node.
+            let node = thread.current_shadow_node();
+            if node != batch_node {
+                tetra_obs::vm_dispatch(tid, batch_count, batch_start, batch_node);
+                batch_start = tetra_obs::now_ns();
+                batch_count = 0;
+                batch_node = node;
+            }
+            if !matches!(outcome, Outcome::Normal) {
+                pending = Some(outcome);
+                break;
+            }
+        }
+        if batch_count > 0 {
+            tetra_obs::vm_dispatch(tid, batch_count, batch_start, batch_node);
+        }
+        match pending {
+            Some(outcome) => self.handle(tid, outcome),
+            None => Ok(()),
+        }
     }
 
     fn handle(&mut self, tid: u32, outcome: Outcome) -> Result<(), RuntimeError> {
@@ -393,6 +476,7 @@ impl<'p> Scheduler<'p> {
                     let start = parent_time + spawn_cost * (i as u64 + 1);
                     let id = self.new_thread(Some(tid), *unit, locals, outers, start, spawn_node);
                     self.thread(id).background = !join;
+                    self.live_background += u32::from(!join);
                     children.push(id);
                 }
                 {
@@ -664,9 +748,14 @@ impl<'p> Scheduler<'p> {
             t.stack.write().clear();
             return Ok(());
         }
+        if let Some(pos) = self.live.iter().position(|&id| id == tid) {
+            self.live.swap_remove(pos);
+        }
         let (end_time, parent) = {
-            let t = self.thread(tid);
+            let t = &mut self.threads[tid as usize];
+            debug_assert_eq!(t.credit, 0, "a finishing thread has no uncharged instructions");
             t.state = VmState::Done;
+            self.live_background -= u32::from(t.background);
             if tetra_obs::enabled() {
                 let name = if tid == 0 { "vm-main".to_string() } else { format!("vm-{tid}") };
                 tetra_obs::thread_span(tid, &name, t.trace_start_ns);

@@ -186,6 +186,10 @@ pub struct VmThread {
     /// True for `background:` children (not joined by anyone).
     pub background: bool,
     pub instructions: u64,
+    /// Private instructions already executed by running ahead of the
+    /// virtual clock but not yet charged (see sched.rs). Only a runnable
+    /// thread has credit.
+    pub credit: u32,
     /// Installed `try:` handlers, innermost last.
     pub handlers: Vec<Handler>,
     /// Lock names this thread currently holds, in acquisition order.
@@ -276,6 +280,7 @@ impl VmThread {
             feed: None,
             background: false,
             instructions: 0,
+            credit: 0,
             handlers: Vec::new(),
             held_locks: Vec::new(),
             error: None,
@@ -341,19 +346,26 @@ impl VmThread {
         stack.truncate(len - n);
     }
 
-    /// Execute a run of cheap, allocation-free instructions while holding
-    /// the frame's locals guard and the operand-stack guard **once**,
-    /// instead of re-acquiring both `RwLock`s for every instruction. The
-    /// scheduler calls this only while this is the sole runnable thread
-    /// (its dispatch quantum), where the coarser locking is unobservable.
+    /// Execute a run of *private* instructions while holding the frame's
+    /// locals guard and the operand-stack guard **once**, instead of
+    /// re-acquiring both `RwLock`s for every instruction. A private
+    /// instruction reads and writes only this thread's own frame locals
+    /// and operand stack: non-string `Const`, `LoadLocal`, `StoreLocal`,
+    /// the jumps, `Pop`, `Dup2`, scalar `Bin`/`Neg`/`Not` and `Widen`.
     ///
     /// Returns how many instructions ran (possibly 0); every one of them is
-    /// `CostClass::Basic`. Stops *before* any instruction that could
+    /// `CostClass::Basic`. The scheduler uses it for the sole runnable
+    /// thread's dispatch quantum and to run a thread ahead of its virtual
+    /// clock (sched.rs), so it stops *before* any instruction that could
     /// allocate, raise, block, or change the frame stack — those must go
-    /// through [`VmThread::step`]. The allocation restriction is
-    /// load-bearing: a GC triggered inside the quantum would scan the
-    /// registry's roots, which read-locks every table, including the two
-    /// write guards held here.
+    /// through [`VmThread::step`] — and before any but the first that would
+    /// drop a heap reference (a `StoreLocal` over an object, a `Pop` of an
+    /// object). The first instruction runs at its own turn in the schedule
+    /// either way, so running ahead can never make an object unreachable
+    /// earlier than the per-instruction order would. The allocation
+    /// restriction is also load-bearing for locking: a GC triggered inside
+    /// the quantum would scan the registry's roots, which read-locks every
+    /// table, including the two write guards held here.
     pub fn step_quantum(&mut self, world: &World, max: u32) -> u32 {
         let program = world.program;
         let stack_arc = self.stack.clone();
@@ -362,6 +374,11 @@ impl VmThread {
         };
         let unit = program.unit(frame.unit);
         let code = &unit.code;
+        // Most calls that find nothing to do stop at the first opcode:
+        // decide that before taking either lock.
+        if !is_private(&code[frame.ip], program) {
+            return 0;
+        }
         let locals_arc = frame.locals.clone();
         let octx =
             ops::OpCtx { heap: world.heap, mutator: world.mutator, roots: world.registry, line: 0 };
@@ -386,9 +403,11 @@ impl VmThread {
                     stack.push(v);
                 }
                 Instr::StoreLocal(i) => {
-                    let Some(&v) = stack.last() else { break };
-                    stack.pop();
                     let slot = &mut locals[*i as usize];
+                    if n > 0 && slot.as_obj().is_some() {
+                        break; // would drop a heap reference early
+                    }
+                    let Some(v) = stack.pop() else { break };
                     *slot = ops::widen_like(Some(*slot), v);
                 }
                 Instr::Jump(t) => {
@@ -426,11 +445,12 @@ impl VmThread {
                     Some(Value::Bool(false)) => {}
                     _ => break,
                 },
-                Instr::Pop => {
-                    if stack.pop().is_none() {
-                        break;
+                Instr::Pop => match stack.last() {
+                    Some(v) if n == 0 || v.as_obj().is_none() => {
+                        stack.pop();
                     }
-                }
+                    _ => break, // would drop a heap reference early, or underflow
+                },
                 Instr::Dup2 => {
                     let len = stack.len();
                     if len < 2 {
@@ -885,9 +905,105 @@ impl VmThread {
     }
 }
 
+/// Whether [`VmThread::step_quantum`] may run `instr` at all (it still
+/// checks the operands: scalar `Bin`, no object dropped, ...).
+fn is_private(instr: &Instr, program: &CompiledProgram) -> bool {
+    match instr {
+        Instr::Const(i) => !matches!(program.consts[*i as usize], Const::Str(_)),
+        Instr::LoadLocal(_)
+        | Instr::StoreLocal(_)
+        | Instr::Jump(_)
+        | Instr::JumpIfFalse(_)
+        | Instr::JumpIfFalsePeek(_)
+        | Instr::JumpIfTruePeek(_)
+        | Instr::Pop
+        | Instr::Dup2
+        | Instr::Bin(_)
+        | Instr::Neg
+        | Instr::Not
+        | Instr::Widen => true,
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Run one `step_quantum` over `code` in a frame whose local 0 holds
+    /// an array and local 1 is unassigned, with a second array on the
+    /// operand stack; returns (instructions run, ip).
+    fn quantum(code: Vec<Instr>) -> (u32, usize) {
+        use crate::bytecode::{CodeUnit, UnitKind};
+        let lines = vec![1; code.len()];
+        let unit = CodeUnit {
+            name: "main".into(),
+            kind: UnitKind::Function,
+            params: 0,
+            nlocals: 2,
+            code,
+            lines,
+        };
+        let program = CompiledProgram {
+            units: vec![unit],
+            num_funcs: 1,
+            consts: vec![Const::Int(7)],
+            main: 0,
+        };
+        let heap = Heap::new(tetra_runtime::HeapConfig::default());
+        let mutator = heap.register_mutator();
+        let registry = Registry::default();
+        let console: ConsoleRef = tetra_runtime::BufferConsole::with_input(&[]);
+        let array = heap.alloc(&mutator, &registry, Object::array(Vec::new()));
+        let locals = registry.new_table(vec![Value::Obj(array), Value::None]);
+        let mut thread = VmThread::new(0, None, 0, locals, Vec::new(), &registry, 0);
+        let other = heap.alloc(&mutator, &registry, Object::array(Vec::new()));
+        thread.stack.write().push(Value::Obj(other));
+        let world = World {
+            program: &program,
+            heap: &heap,
+            mutator: &mutator,
+            registry: &registry,
+            console: &console,
+        };
+        let n = thread.step_quantum(&world, 256);
+        (n, thread.frames[0].ip)
+    }
+
+    #[test]
+    fn quantum_stops_before_overwriting_an_object() {
+        // The store into the scalar slot runs; the store over the array
+        // would drop a heap reference and is left to `step`.
+        let code = vec![
+            Instr::Const(0),
+            Instr::StoreLocal(1),
+            Instr::Const(0),
+            Instr::StoreLocal(0),
+            Instr::Return,
+        ];
+        assert_eq!(quantum(code), (3, 3));
+    }
+
+    #[test]
+    fn quantum_stops_before_popping_an_object() {
+        let code =
+            vec![Instr::LoadLocal(0), Instr::Const(0), Instr::Pop, Instr::Pop, Instr::Return];
+        assert_eq!(quantum(code), (3, 3));
+    }
+
+    #[test]
+    fn quantum_may_drop_a_reference_as_its_first_instruction() {
+        // The first instruction runs at its own turn in the schedule.
+        assert_eq!(quantum(vec![Instr::Pop, Instr::Const(0), Instr::Pop, Instr::Return]), (3, 3));
+        let code = vec![Instr::StoreLocal(0), Instr::LoadLocal(0), Instr::Pop, Instr::Return];
+        assert_eq!(quantum(code), (2, 2));
+    }
+
+    #[test]
+    fn quantum_runs_nothing_at_a_shared_instruction() {
+        assert_eq!(quantum(vec![Instr::LoadOuter(1, 0), Instr::Return]), (0, 0));
+        assert_eq!(quantum(vec![Instr::Return]), (0, 0));
+    }
 
     #[test]
     fn dead_tables_are_purged_from_the_registry() {

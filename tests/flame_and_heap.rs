@@ -147,3 +147,33 @@ fn lock_contention_is_attributed_to_call_paths() {
     assert!(report.contains("hot paths"), "{report}");
     assert!(report.contains("main;mid;leaf") || report.contains("main;mid"), "{report}");
 }
+
+/// Per-thread instruction counts of `primes.tet` simulated at T=4 (main,
+/// then the four `parallel for` workers), recorded from a scheduler that
+/// emitted one dispatch event per instruction whenever several threads
+/// were runnable.
+const PRIMES_T4_THREAD_INSTRUCTIONS: [u64; 5] = [327, 649282, 759787, 799029, 824718];
+
+/// Instructions executed ahead of the virtual clock are reported once, by
+/// the dispatch event of the quantum that ran them: the dispatch counts
+/// add up to `SimStats.instructions` per thread and in total.
+#[test]
+fn vm_dispatch_counts_sum_to_sim_instructions() {
+    let _guard = exclusive();
+    let program = compile(&tetra_suite::example_source("primes.tet"));
+    let config = tetra::obs::session::Config { events_per_thread: 1 << 18, ..Default::default() };
+    tetra::obs::session::begin(config);
+    let config = VmConfig { workers: 4, ..VmConfig::default() };
+    let result = program.simulate_with(config, BufferConsole::with_input(&[]));
+    let trace = tetra::obs::session::end();
+    let stats = result.expect("vm run failed");
+    assert_eq!(trace.dropped_events, 0, "the ring must hold every dispatch event");
+    let mut per_thread = [0u64; 5];
+    for e in &trace.events {
+        if e.kind == tetra::obs::event::EventKind::VmDispatch {
+            per_thread[e.tid as usize] += e.a as u64;
+        }
+    }
+    assert_eq!(per_thread.iter().sum::<u64>(), stats.instructions);
+    assert_eq!(per_thread, PRIMES_T4_THREAD_INSTRUCTIONS);
+}
