@@ -139,6 +139,41 @@ fn warn_truncation(trace: &tetra::obs::session::Trace) {
     }
 }
 
+/// Run `f` in the obs session that `--trace`, `--metrics` and
+/// `--heap-profile` ask for, then write the Chrome trace and print the
+/// metrics and heap report it collected. Without any of them `f` runs
+/// unobserved.
+fn observed<T>(o: &Opts, f: impl FnOnce() -> T) -> Result<T, String> {
+    if o.trace.is_none() && !o.metrics && !o.heap_profile {
+        return Ok(f());
+    }
+    tetra::obs::session::begin(tetra::obs::session::Config {
+        trace: o.trace.is_some(),
+        metrics: o.metrics,
+        heap_profile: o.heap_profile,
+        ..Default::default()
+    });
+    let result = f();
+    let trace = tetra::obs::session::end();
+    if let Some(path) = &o.trace {
+        std::fs::write(path, tetra::obs::chrome::export(&trace))
+            .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
+        eprintln!(
+            "trace: {} events from {} thread(s) written to {path}",
+            trace.events.len(),
+            trace.thread_names().len(),
+        );
+        warn_truncation(&trace);
+    }
+    if o.metrics {
+        eprint!("{}", trace.metrics.render());
+    }
+    if o.heap_profile {
+        eprint!("{}", tetra::obs::profile::heap_report(&trace));
+    }
+    Ok(result)
+}
+
 fn read_source(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
@@ -200,35 +235,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
     let config = interp_config(&o)?;
     let (program, _src) = compile_file(need_file(&o)?)?;
-    let observing = o.trace.is_some() || o.metrics || o.heap_profile;
-    if observing {
-        tetra::obs::session::begin(tetra::obs::session::Config {
-            trace: o.trace.is_some(),
-            metrics: o.metrics,
-            heap_profile: o.heap_profile,
-            ..Default::default()
-        });
-    }
-    let result = program.run_with(config, Arc::new(StdConsole));
-    if observing {
-        let trace = tetra::obs::session::end();
-        if let Some(path) = &o.trace {
-            std::fs::write(path, tetra::obs::chrome::export(&trace))
-                .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
-            eprintln!(
-                "trace: {} events from {} thread(s) written to {path}",
-                trace.events.len(),
-                trace.thread_names().len(),
-            );
-            warn_truncation(&trace);
-        }
-        if o.metrics {
-            eprint!("{}", trace.metrics.render());
-        }
-        if o.heap_profile {
-            eprint!("{}", tetra::obs::profile::heap_report(&trace));
-        }
-    }
+    let result = observed(&o, || program.run_with(config, Arc::new(StdConsole)))?;
     let stats = result.map_err(|e| e.to_string())?;
     if o.gc_stats {
         eprintln!(
@@ -348,35 +355,7 @@ fn sim(args: &[String]) -> Result<(), String> {
         ..VmConfig::default()
     };
     cfg.gc.gc_threads = o.gc_threads.unwrap_or(0);
-    let observing = o.trace.is_some() || o.metrics || o.heap_profile;
-    if observing {
-        tetra::obs::session::begin(tetra::obs::session::Config {
-            trace: o.trace.is_some(),
-            metrics: o.metrics,
-            heap_profile: o.heap_profile,
-            ..Default::default()
-        });
-    }
-    let result = program.simulate_with(cfg, Arc::new(StdConsole));
-    if observing {
-        let trace = tetra::obs::session::end();
-        if let Some(path) = &o.trace {
-            std::fs::write(path, tetra::obs::chrome::export(&trace))
-                .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
-            eprintln!(
-                "trace: {} events from {} thread(s) written to {path}",
-                trace.events.len(),
-                trace.thread_names().len(),
-            );
-            warn_truncation(&trace);
-        }
-        if o.metrics {
-            eprint!("{}", trace.metrics.render());
-        }
-        if o.heap_profile {
-            eprint!("{}", tetra::obs::profile::heap_report(&trace));
-        }
-    }
+    let result = observed(&o, || program.simulate_with(cfg, Arc::new(StdConsole)))?;
     let stats = result.map_err(|e| e.to_string())?;
     eprintln!(
         "sim: {} virtual time units, {} instructions, {} thread(s), {} contended lock waits",

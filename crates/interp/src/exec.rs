@@ -22,7 +22,8 @@ use std::sync::Arc;
 use tetra_ast::{AssignOp, Block, Expr, NodeId, Stmt, StmtKind, Target};
 use tetra_intern::Symbol;
 use tetra_runtime::{
-    Env, ErrorKind, MutatorGuard, Object, RuntimeError, ThreadCell, ThreadKind, ThreadState, Value,
+    threads, Env, ErrorKind, MutatorGuard, Object, RuntimeError, ThreadCell, ThreadKind,
+    ThreadState, Value,
 };
 
 /// Control flow result of a statement.
@@ -409,10 +410,8 @@ impl ThreadCtx {
                 parent: Some(self.cell.id),
                 line: arms.stmts[i].span.line,
             });
-            let handle = std::thread::Builder::new()
-                .name(format!("tetra-{}", cell.id))
-                .stack_size(THREAD_STACK_SIZE)
-                .spawn(move || {
+            let handle =
+                threads::spawn(format!("tetra-{}", cell.id), THREAD_STACK_SIZE, move || {
                     let mut ctx = ThreadCtx::new_child(shared, guard, cell, env, spawn_node);
                     let result = ctx.exec_stmt(&arms.stmts[i]).map(|_| ());
                     ctx.finish_thread();

@@ -45,8 +45,8 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::sync::OnceLock;
 use tetra_runtime::{
-    ConsoleRef, ErrorKind, GcStats, Heap, HeapConfig, LockRegistry, PoolStats, RuntimeError,
-    ThreadRegistry, ThreadSnapshot, WorkerPool,
+    threads, ConsoleRef, ErrorKind, GcStats, Heap, HeapConfig, LockRegistry, PoolStats,
+    RuntimeError, ThreadRegistry, ThreadSnapshot, WorkerPool,
 };
 use tetra_types::TypedProgram;
 use thread::ThreadCtx;
@@ -168,13 +168,12 @@ impl Interp {
     /// call-depth error rather than the native stack guard.
     pub fn run(&self) -> Result<RunStats, RuntimeError> {
         let shared = self.shared.clone();
-        std::thread::Builder::new()
-            .name("tetra-main".to_string())
-            .stack_size(thread::THREAD_STACK_SIZE)
-            .spawn(move || Self::run_on_current_thread(shared))
-            .expect("could not spawn the main interpreter thread")
-            .join()
-            .expect("the main interpreter thread panicked")
+        threads::spawn("tetra-main".to_string(), thread::THREAD_STACK_SIZE, move || {
+            Self::run_on_current_thread(shared)
+        })
+        .expect("could not spawn the main interpreter thread")
+        .join()
+        .expect("the main interpreter thread panicked")
     }
 
     fn run_on_current_thread(shared: Arc<Shared>) -> Result<RunStats, RuntimeError> {

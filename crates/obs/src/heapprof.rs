@@ -11,14 +11,14 @@
 //! allocating per iteration visible.
 //!
 //! Sites are keyed by a packed `node << 32 | line` u64, so recording an
-//! allocation is one thread-local read plus one map update under a mutex
-//! (acceptable: allocation already serializes on the heap's object list,
-//! and the disabled path is a single relaxed atomic load).
+//! allocation is one thread-local read plus one map update under the
+//! session's site-table mutex (the disabled path is one load of the
+//! thread's flags word).
 
+use crate::session;
 use crate::stack;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
 
 /// Pack a (stack node, line) pair into the site key stored in object
 /// headers.
@@ -34,14 +34,15 @@ pub fn unpack_site(site: u64) -> (u32, u32) {
 }
 
 #[derive(Debug, Default, Clone, Copy)]
-struct SiteCounters {
+pub(crate) struct SiteCounters {
     allocs: u64,
     alloc_bytes: u64,
     live_objects: u64,
     live_bytes: u64,
 }
 
-static SITES: Mutex<Option<HashMap<u64, SiteCounters>>> = Mutex::new(None);
+/// One session's site table, keyed by packed site.
+pub(crate) type Sites = HashMap<u64, SiteCounters>;
 
 thread_local! {
     /// The (node, line) the current thread is executing, packed. For the
@@ -49,11 +50,6 @@ thread_local! {
     /// which re-stamps this before each instruction, so it is still
     /// correct at allocation time.
     static CURRENT_SITE: Cell<u64> = const { Cell::new(0) };
-}
-
-fn with_sites<T>(f: impl FnOnce(&mut HashMap<u64, SiteCounters>) -> T) -> T {
-    let mut guard = SITES.lock().unwrap_or_else(PoisonError::into_inner);
-    f(guard.get_or_insert_with(HashMap::new))
 }
 
 /// Stamp the calling thread's current allocation site. Engines call this
@@ -72,7 +68,8 @@ pub fn record_alloc(bytes: usize) -> u64 {
         return 0;
     }
     let site = CURRENT_SITE.with(|c| c.get());
-    with_sites(|sites| {
+    session::with_current(|state| {
+        let mut sites = session::lock(&state.sites);
         let s = sites.entry(site).or_default();
         s.allocs += 1;
         s.alloc_bytes += bytes as u64;
@@ -87,7 +84,8 @@ pub fn record_census(census: &HashMap<u64, (u64, u64)>) {
     if !crate::heap_profile_enabled() {
         return;
     }
-    with_sites(|sites| {
+    session::with_current(|state| {
+        let mut sites = session::lock(&state.sites);
         for s in sites.values_mut() {
             s.live_objects = 0;
             s.live_bytes = 0;
@@ -98,11 +96,6 @@ pub fn record_census(census: &HashMap<u64, (u64, u64)>) {
             s.live_bytes = *bytes;
         }
     });
-}
-
-/// Clear all site counters (called by `session::begin`).
-pub fn reset() {
-    *SITES.lock().unwrap_or_else(PoisonError::into_inner) = None;
 }
 
 /// One allocation site in a snapshot.
@@ -167,31 +160,24 @@ impl HeapProfile {
     }
 }
 
-/// Copy out the current site table.
-pub fn snapshot() -> HeapProfile {
-    let guard = SITES.lock().unwrap_or_else(PoisonError::into_inner);
-    let sites = guard
-        .as_ref()
-        .map(|m| {
-            let mut rows: Vec<SiteSnapshot> = m
-                .iter()
-                .map(|(site, s)| {
-                    let (node, line) = unpack_site(*site);
-                    SiteSnapshot {
-                        node,
-                        line,
-                        allocs: s.allocs,
-                        alloc_bytes: s.alloc_bytes,
-                        live_objects: s.live_objects,
-                        live_bytes: s.live_bytes,
-                    }
-                })
-                .collect();
-            rows.sort_by_key(|r| (r.node, r.line));
-            rows
+/// Copy out a session's site table.
+pub(crate) fn snapshot(sites: &Sites) -> HeapProfile {
+    let mut rows: Vec<SiteSnapshot> = sites
+        .iter()
+        .map(|(site, s)| {
+            let (node, line) = unpack_site(*site);
+            SiteSnapshot {
+                node,
+                line,
+                allocs: s.allocs,
+                alloc_bytes: s.alloc_bytes,
+                live_objects: s.live_objects,
+                live_bytes: s.live_bytes,
+            }
         })
-        .unwrap_or_default();
-    HeapProfile { sites }
+        .collect();
+    rows.sort_by_key(|r| (r.node, r.line));
+    HeapProfile { sites: rows }
 }
 
 #[cfg(test)]

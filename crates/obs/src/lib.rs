@@ -6,7 +6,7 @@
 //!
 //! * **Trace collection** ([`event`], [`ring`]) — each OS thread writes
 //!   typed events into its own lock-free ring buffer. When tracing is
-//!   disabled the emit path is a single relaxed atomic load, so
+//!   disabled the emit path is one load of a thread-local flags word, so
 //!   instrumentation can stay compiled into release builds.
 //! * **Attribution** ([`stack`], [`flame`], [`heapprof`]) — shadow
 //!   call-stack interning (a call path is one `u32` trie node), flame
@@ -39,6 +39,26 @@
 //! assert!(folded.starts_with("main "));
 //! ```
 //!
+//! A session belongs to the thread that began it and to the runs that
+//! thread starts: the interpreter's and the pool's threads enter the
+//! session of the thread that started the run, and the VM runs on its
+//! caller's thread. Threads in no session record nothing, so two threads
+//! can observe two runs at once and neither sees the other's data. A
+//! thread the caller starts itself joins in explicitly:
+//!
+//! ```
+//! use tetra_obs as obs;
+//! obs::session::begin(obs::session::Config::default());
+//! let session = obs::session::current();
+//! std::thread::spawn(move || {
+//!     obs::session::enter(session);
+//!     obs::stmt(1, 7, obs::stack::ROOT);
+//! })
+//! .join()
+//! .unwrap();
+//! assert_eq!(obs::session::end().events.len(), 1);
+//! ```
+//!
 //! Events are timestamped in nanoseconds relative to the session start.
 //! Ring buffers hold the most recent `events_per_thread` events per
 //! thread; older events are overwritten and counted as dropped.
@@ -56,35 +76,26 @@ pub mod stack;
 pub use event::{Event, EventKind};
 pub use session::Trace;
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use session::{HEAP_PROFILE, METRICS, TRACE};
+use std::time::Instant;
 
-/// Global tracing switch. Relaxed loads only on the hot path.
-static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Global metrics switch, independent of tracing.
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Global heap-profiling switch, independent of tracing (so
-/// `tetra run --heap-profile` works without the trace rings).
-static HEAP_PROF_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// True when a tracing session is active. This is the only check on the
-/// disabled fast path.
+/// True when the calling thread's session collects trace events. This is
+/// the only check on the disabled fast path.
 #[inline(always)]
 pub fn enabled() -> bool {
-    TRACE_ENABLED.load(Ordering::Relaxed)
+    session::flags() & TRACE != 0
 }
 
-/// True when metrics collection is active.
+/// True when the calling thread's session collects metrics.
 #[inline(always)]
 pub fn metrics_enabled() -> bool {
-    METRICS_ENABLED.load(Ordering::Relaxed)
+    session::flags() & METRICS != 0
 }
 
-/// True when allocation-site heap profiling is active.
+/// True when the calling thread's session profiles allocation sites.
 #[inline(always)]
 pub fn heap_profile_enabled() -> bool {
-    HEAP_PROF_ENABLED.load(Ordering::Relaxed)
+    session::flags() & HEAP_PROFILE != 0
 }
 
 /// True when the engines should maintain shadow call stacks: either the
@@ -92,18 +103,24 @@ pub fn heap_profile_enabled() -> bool {
 /// allocation sites. Checked once per user-function call.
 #[inline(always)]
 pub fn attribution_enabled() -> bool {
-    enabled() || heap_profile_enabled()
-}
-
-pub(crate) fn set_enabled(trace: bool, metrics: bool, heap_profile: bool) {
-    TRACE_ENABLED.store(trace, Ordering::SeqCst);
-    METRICS_ENABLED.store(metrics, Ordering::SeqCst);
-    HEAP_PROF_ENABLED.store(heap_profile, Ordering::SeqCst);
+    session::flags() & (TRACE | HEAP_PROFILE) != 0
 }
 
 // ---------------------------------------------------------------------------
 // Emission API (called from instrumented code)
 // ---------------------------------------------------------------------------
+
+/// Push one event into the calling thread's session.
+#[inline]
+fn emit(kind: EventKind, tid: u32, start_ns: u64, dur_ns: u64, a: u32, b: u32, c: u32) {
+    session::emit(&Event { kind, tid, start_ns, dur_ns, a, b, c });
+}
+
+/// Nanoseconds from session time `start_ns` to now.
+#[inline]
+fn since(start_ns: u64) -> u64 {
+    session::elapsed_ns().saturating_sub(start_ns)
+}
 
 /// Current session-relative timestamp in nanoseconds, or 0 when tracing is
 /// disabled. Instrumented code calls this at span starts and passes the
@@ -117,10 +134,11 @@ pub fn now_ns() -> u64 {
 }
 
 /// Timestamp that ignores the trace switch — used by metrics-only call
-/// sites (GC pause accounting) that must time even without a trace.
+/// sites (lock wait and hold accounting) that must time even without a
+/// trace.
 #[inline]
 pub fn metric_now_ns() -> u64 {
-    if !enabled() && !metrics_enabled() {
+    if session::flags() & (TRACE | METRICS) == 0 {
         return 0;
     }
     session::elapsed_ns()
@@ -136,15 +154,7 @@ pub fn stmt(tid: u32, line: u32, stack_node: u32) {
     if !enabled() {
         return;
     }
-    ring::emit(Event {
-        kind: EventKind::Stmt,
-        tid,
-        start_ns: session::elapsed_ns(),
-        dur_ns: 0,
-        a: line,
-        b: 0,
-        c: stack_node,
-    });
+    emit(EventKind::Stmt, tid, session::elapsed_ns(), 0, line, 0, stack_node);
 }
 
 /// User-function call span (`start_ns` from [`now_ns`] at entry);
@@ -155,16 +165,7 @@ pub fn call(tid: u32, name: &str, line: u32, start_ns: u64, stack_node: u32) {
         return;
     }
     let sym = session::intern(name);
-    let end = session::elapsed_ns();
-    ring::emit(Event {
-        kind: EventKind::Call,
-        tid,
-        start_ns,
-        dur_ns: end.saturating_sub(start_ns),
-        a: sym,
-        b: line,
-        c: stack_node,
-    });
+    emit(EventKind::Call, tid, start_ns, since(start_ns), sym, line, stack_node);
 }
 
 /// Whole-lifetime span of a Tetra thread, emitted when the thread
@@ -174,17 +175,7 @@ pub fn thread_span(tid: u32, name: &str, start_ns: u64) {
     if !enabled() {
         return;
     }
-    let sym = session::intern(name);
-    let end = session::elapsed_ns();
-    ring::emit(Event {
-        kind: EventKind::ThreadSpan,
-        tid,
-        start_ns,
-        dur_ns: end.saturating_sub(start_ns),
-        a: sym,
-        b: 0,
-        c: 0,
-    });
+    emit(EventKind::ThreadSpan, tid, start_ns, since(start_ns), session::intern(name), 0, 0);
     metrics::counter_add("threads.finished", 1);
 }
 
@@ -193,44 +184,24 @@ pub fn thread_span(tid: u32, name: &str, start_ns: u64) {
 /// by duration). `stack_node` names the acquiring call path.
 #[inline]
 pub fn lock_wait(tid: u32, lock: &str, line: u32, start_ns: u64, stack_node: u32) {
-    let end = metric_now_ns();
-    let wait = end.saturating_sub(start_ns);
+    let wait = metric_now_ns().saturating_sub(start_ns);
     metrics::histogram_record("lock.wait_ns", wait);
     if !enabled() {
         return;
     }
-    let sym = session::intern(lock);
-    ring::emit(Event {
-        kind: EventKind::LockWait,
-        tid,
-        start_ns,
-        dur_ns: wait,
-        a: sym,
-        b: line,
-        c: stack_node,
-    });
+    emit(EventKind::LockWait, tid, start_ns, wait, session::intern(lock), line, stack_node);
 }
 
 /// Time a named lock was held, emitted at release. `stack_node` names the
 /// call path that acquired the lock.
 #[inline]
 pub fn lock_hold(tid: u32, lock: &str, start_ns: u64, stack_node: u32) {
-    let end = metric_now_ns();
-    let held = end.saturating_sub(start_ns);
+    let held = metric_now_ns().saturating_sub(start_ns);
     metrics::histogram_record("lock.hold_ns", held);
     if !enabled() {
         return;
     }
-    let sym = session::intern(lock);
-    ring::emit(Event {
-        kind: EventKind::LockHold,
-        tid,
-        start_ns,
-        dur_ns: held,
-        a: sym,
-        b: 0,
-        c: stack_node,
-    });
+    emit(EventKind::LockHold, tid, start_ns, held, session::intern(lock), 0, stack_node);
 }
 
 /// Synthetic thread id for the collector's events: GC pauses appear as
@@ -250,14 +221,21 @@ pub enum GcPhase {
     Pause,
 }
 
-/// GC phase span; `collection` is the ordinal of the collection. `detail`
-/// is a phase-specific payload carried in the event's `b` word: the number
-/// of mark workers for [`GcPhase::Mark`], the number of segments swept for
+/// GC phase span from `start` to `end`, the collector's own clock
+/// readings; `collection` is the ordinal of the collection. `detail` is a
+/// phase-specific payload carried in the event's `b` word: the number of
+/// mark workers for [`GcPhase::Mark`], the number of segments swept for
 /// [`GcPhase::Sweep`], and 0 otherwise.
 #[inline]
-pub fn gc_phase(tid: u32, phase: GcPhase, collection: u32, start_ns: u64, detail: u32) {
-    let end = metric_now_ns();
-    let dur = end.saturating_sub(start_ns);
+pub fn gc_phase(
+    tid: u32,
+    phase: GcPhase,
+    collection: u32,
+    start: Instant,
+    end: Instant,
+    detail: u32,
+) {
+    let dur = end.saturating_duration_since(start).as_nanos() as u64;
     if phase == GcPhase::Pause {
         metrics::histogram_record("gc.pause_ns", dur);
     }
@@ -270,7 +248,7 @@ pub fn gc_phase(tid: u32, phase: GcPhase, collection: u32, start_ns: u64, detail
         GcPhase::Sweep => EventKind::GcSweep,
         GcPhase::Pause => EventKind::GcPause,
     };
-    ring::emit(Event { kind, tid, start_ns, dur_ns: dur, a: collection, b: detail, c: 0 });
+    emit(kind, tid, session::ns_since_start(start), dur, collection, detail, 0);
 }
 
 /// One VM dispatch batch: `instructions` instructions executed for `tid`
@@ -282,16 +260,7 @@ pub fn vm_dispatch(tid: u32, instructions: u32, start_ns: u64, stack_node: u32) 
     if !enabled() {
         return;
     }
-    let end = session::elapsed_ns();
-    ring::emit(Event {
-        kind: EventKind::VmDispatch,
-        tid,
-        start_ns,
-        dur_ns: end.saturating_sub(start_ns),
-        a: instructions,
-        b: 0,
-        c: stack_node,
-    });
+    emit(EventKind::VmDispatch, tid, start_ns, since(start_ns), instructions, 0, stack_node);
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Metrics registry: named counters and log2 histograms.
+//! Metrics registry: named counters and log2 histograms, one per session.
 //!
 //! Fed from low-frequency instrumentation points (lock waits/holds, GC
 //! pauses, thread lifecycle); high-frequency data (per-line statement
@@ -6,8 +6,8 @@
 //! of being counted here, keeping the statement hot path free of shared
 //! writes.
 
+use crate::session;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
 
 /// A log2-bucketed histogram of u64 samples (nanoseconds, typically).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,41 +47,40 @@ impl Histogram {
     }
 }
 
+/// One session's counters and histograms.
 #[derive(Default)]
-struct Registry {
+pub(crate) struct Registry {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
-/// Lock acquisitions below recover from poisoning: the registry stays
-/// structurally valid if a traced thread panics mid-update, and losing the
-/// whole report over one panicking thread would be worse than a possibly
-/// undercounted metric.
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
+impl Registry {
+    /// Copy out the registry contents.
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        Snapshot { counters: self.counters.clone(), histograms: self.histograms.clone() }
+    }
+}
 
-/// Add to a named counter. No-op unless metrics are enabled.
+/// Add to a named counter of the calling thread's session. No-op unless
+/// it collects metrics.
 pub fn counter_add(name: &str, value: u64) {
     if !crate::metrics_enabled() {
         return;
     }
-    let mut guard = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-    let registry = guard.get_or_insert_with(Registry::default);
-    *registry.counters.entry(name.to_string()).or_insert(0) += value;
+    session::with_current(|s| {
+        *session::lock(&s.metrics).counters.entry(name.to_string()).or_insert(0) += value;
+    });
 }
 
-/// Record a histogram sample. No-op unless metrics are enabled.
+/// Record a histogram sample in the calling thread's session. No-op
+/// unless it collects metrics.
 pub fn histogram_record(name: &str, value: u64) {
     if !crate::metrics_enabled() {
         return;
     }
-    let mut guard = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-    let registry = guard.get_or_insert_with(Registry::default);
-    registry.histograms.entry(name.to_string()).or_default().record(value);
-}
-
-/// Clear all metrics (called by `session::begin`).
-pub fn reset() {
-    *REGISTRY.lock().unwrap_or_else(PoisonError::into_inner) = None;
+    session::with_current(|s| {
+        session::lock(&s.metrics).histograms.entry(name.to_string()).or_default().record(value);
+    });
 }
 
 /// A point-in-time copy of the registry.
@@ -112,15 +111,6 @@ impl Snapshot {
     }
 }
 
-/// Copy out the current registry contents.
-pub fn snapshot() -> Snapshot {
-    let guard = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-    match guard.as_ref() {
-        Some(r) => Snapshot { counters: r.counters.clone(), histograms: r.histograms.clone() },
-        None => Snapshot::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,10 +134,11 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_nothing() {
-        reset();
+        counter_add("x", 1);
+        session::begin(session::Config { metrics: false, ..Default::default() });
         counter_add("x", 1);
         histogram_record("y", 5);
-        let snap = snapshot();
+        let snap = session::end().metrics;
         assert!(snap.counters.is_empty() && snap.histograms.is_empty());
     }
 }

@@ -6,16 +6,14 @@
 //! when a ring fills the oldest events are overwritten (and counted as
 //! dropped) rather than blocking or allocating.
 //!
-//! Rings are handed out via a `thread_local` keyed by the session
-//! generation, so a ring created in one session is never reused by the
-//! next. The session holds `Arc`s to every ring and snapshots them after
-//! the traced program has quiesced.
+//! A thread's ring lives in the same thread-local slot as its session
+//! handle (see [`crate::session`]), so entering another session drops the
+//! old ring and a ring is never reused across sessions. The session
+//! holds `Arc`s to every ring and snapshots them after the traced program
+//! has quiesced.
 
 use crate::event::{Event, WORDS_PER_EVENT};
-use crate::session;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Number of events retained per thread by default (~1.25 MiB per thread
 /// at 40 bytes per slot).
@@ -113,30 +111,6 @@ impl Ring {
         }
         RingSnapshot { events, corrupt }
     }
-}
-
-thread_local! {
-    /// (session generation, ring) for the current thread.
-    static LOCAL_RING: RefCell<Option<(u64, Arc<Ring>)>> = const { RefCell::new(None) };
-}
-
-/// Emit an event into the calling thread's ring for the current session.
-/// Creates and registers the ring on the thread's first emit of a session.
-#[inline]
-pub fn emit(event: Event) {
-    LOCAL_RING.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let generation = session::generation();
-        match slot.as_ref() {
-            Some((g, ring)) if *g == generation => ring.push(&event),
-            _ => {
-                if let Some(ring) = session::register_ring() {
-                    ring.push(&event);
-                    *slot = Some((generation, ring));
-                }
-            }
-        }
-    });
 }
 
 #[cfg(test)]

@@ -1,18 +1,27 @@
-//! Tracing session lifecycle: begin/end, the session clock, ring
-//! registration, and string interning.
+//! Sessions: begin/end, the calling thread's session, the session clock,
+//! ring registration, and string interning.
 //!
-//! At most one session is active at a time (the CLI runs one program per
-//! process; tests serialize via [`begin`]/[`end`]). A generation counter
-//! invalidates thread-local ring handles from earlier sessions, so a
-//! pooled or long-lived thread never writes into a stale buffer.
+//! A session is a value. [`begin`] creates one and makes it the calling
+//! thread's session; [`end`] detaches it from that thread and returns
+//! what it collected. A session belongs to the thread that began it and
+//! to the runs that thread starts: every OS thread a run starts enters
+//! the starting thread's session ([`current`], [`enter`]), so
+//! emitters, metric updates and heap-site updates land in the session of
+//! the run that made them. Sessions on different threads are
+//! independent, and a thread outside any session records nothing.
+//!
+//! Per thread there are two slots: a `Drop`-free flags word, the only
+//! thing the disabled fast path reads, and the session handle together
+//! with the thread's ring for it. Entering another session replaces both,
+//! so a pooled or long-lived thread never writes into a stale buffer.
 
 use crate::event::{Event, EventKind};
 use crate::heapprof;
 use crate::metrics;
 use crate::ring::{Ring, DEFAULT_EVENTS_PER_THREAD};
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Session configuration.
@@ -39,83 +48,129 @@ impl Default for Config {
     }
 }
 
-struct Active {
-    start_ns: u64,
+/// Bits of the per-thread flags word.
+pub(crate) const TRACE: u8 = 1;
+pub(crate) const METRICS: u8 = 2;
+pub(crate) const HEAP_PROFILE: u8 = 4;
+
+/// Handle to one session. Clones name the same session; hand one to a
+/// thread you start so that it records into your session.
+#[derive(Clone)]
+pub struct Session(Arc<State>);
+
+/// Everything one session collects. Locks below recover from poisoning:
+/// the state stays structurally valid if a traced thread panics
+/// mid-update, and losing the whole report over one panicking thread
+/// would be worse than a possibly undercounted metric.
+pub(crate) struct State {
+    flags: u8,
+    start: Instant,
     events_per_thread: usize,
-    rings: Vec<Arc<Ring>>,
+    rings: Mutex<Vec<Arc<Ring>>>,
+    pub(crate) metrics: Mutex<metrics::Registry>,
+    pub(crate) sites: Mutex<heapprof::Sites>,
 }
 
-static ACTIVE: Mutex<Option<Active>> = Mutex::new(None);
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-/// Session start, as nanoseconds since the process epoch. Read on every
-/// timestamp; written only by `begin`.
-static SESSION_START_NS: AtomicU64 = AtomicU64::new(0);
-
-fn epoch() -> &'static Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now)
+/// A thread's attachment to its session: the handle and, from the
+/// thread's first emit on, its ring.
+struct Attached {
+    session: Session,
+    ring: Option<Arc<Ring>>,
 }
 
-fn epoch_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
+thread_local! {
+    static FLAGS: Cell<u8> = const { Cell::new(0) };
+    static CURRENT: RefCell<Option<Attached>> = const { RefCell::new(None) };
 }
 
-/// Nanoseconds since the current session began.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The calling thread's flags word (0 outside a session).
+#[inline(always)]
+pub(crate) fn flags() -> u8 {
+    FLAGS.with(Cell::get)
+}
+
+/// Make `session` the calling thread's session, replacing any other
+/// (`None` leaves the thread in no session).
+pub fn enter(session: Option<Session>) {
+    FLAGS.with(|f| f.set(session.as_ref().map_or(0, |s| s.0.flags)));
+    CURRENT.with(|c| *c.borrow_mut() = session.map(|session| Attached { session, ring: None }));
+}
+
+/// The calling thread's session, if it has one. Capture it before
+/// starting a thread and [`enter`] it on the new thread.
+pub fn current() -> Option<Session> {
+    CURRENT.with(|c| c.borrow().as_ref().map(|a| a.session.clone()))
+}
+
+/// Run `f` on the calling thread's session, if it has one.
+pub(crate) fn with_current<T>(f: impl FnOnce(&State) -> T) -> Option<T> {
+    CURRENT.with(|c| c.borrow().as_ref().map(|a| f(&a.session.0)))
+}
+
+/// Nanoseconds from the calling thread's session start to `t` (0 outside
+/// a session or for an earlier instant).
+#[inline]
+pub(crate) fn ns_since_start(t: Instant) -> u64 {
+    with_current(|s| t.saturating_duration_since(s.start).as_nanos() as u64).unwrap_or(0)
+}
+
+/// Nanoseconds since the calling thread's session began.
 #[inline]
 pub fn elapsed_ns() -> u64 {
-    epoch_ns().saturating_sub(SESSION_START_NS.load(Ordering::Relaxed))
+    ns_since_start(Instant::now())
 }
 
-/// Current session generation; bumped by [`begin`] and [`end`].
+/// Push `event` into the calling thread's ring, creating and registering
+/// the ring on the thread's first emit into its session.
 #[inline]
-pub fn generation() -> u64 {
-    GENERATION.load(Ordering::Acquire)
-}
-
-/// Start a session. Any prior session's unsnapshotted events are
-/// discarded.
-pub fn begin(config: Config) {
-    // A thread that panicked while holding the session lock must not take
-    // the whole observability layer down with it; the state it protects
-    // stays structurally valid, so recover the guard.
-    let mut active = ACTIVE.lock().unwrap_or_else(PoisonError::into_inner);
-    GENERATION.fetch_add(1, Ordering::AcqRel);
-    SESSION_START_NS.store(epoch_ns(), Ordering::SeqCst);
-    metrics::reset();
-    heapprof::reset();
-    *active = Some(Active {
-        start_ns: SESSION_START_NS.load(Ordering::SeqCst),
-        events_per_thread: config.events_per_thread.max(16),
-        rings: Vec::new(),
+pub(crate) fn emit(event: &Event) {
+    CURRENT.with(|c| {
+        if let Some(a) = c.borrow_mut().as_mut() {
+            let state = &a.session.0;
+            let ring = a.ring.get_or_insert_with(|| {
+                let ring = Arc::new(Ring::new(state.events_per_thread));
+                lock(&state.rings).push(Arc::clone(&ring));
+                ring
+            });
+            ring.push(event);
+        }
     });
-    crate::set_enabled(config.trace, config.metrics, config.heap_profile);
 }
 
-/// Create and register a ring for the calling thread. Returns `None` when
-/// no session is active. Called once per thread per session (slow path of
-/// `ring::emit`).
-pub fn register_ring() -> Option<Arc<Ring>> {
-    let mut active = ACTIVE.lock().unwrap_or_else(PoisonError::into_inner);
-    let state = active.as_mut()?;
-    let ring = Arc::new(Ring::new(state.events_per_thread));
-    state.rings.push(Arc::clone(&ring));
-    Some(ring)
+/// Start a session and make it the calling thread's, replacing any
+/// session the thread was in.
+pub fn begin(config: Config) {
+    let flags = (TRACE * u8::from(config.trace))
+        | (METRICS * u8::from(config.metrics))
+        | (HEAP_PROFILE * u8::from(config.heap_profile));
+    enter(Some(Session(Arc::new(State {
+        flags,
+        start: Instant::now(),
+        events_per_thread: config.events_per_thread.max(16),
+        rings: Mutex::new(Vec::new()),
+        metrics: Mutex::default(),
+        sites: Mutex::default(),
+    }))));
 }
 
-/// Stop the session and collect everything emitted so far. For an exact
-/// snapshot, call after the traced program's threads have been joined.
+/// Detach the calling thread's session and collect everything emitted
+/// into it so far. For an exact snapshot, call after the traced
+/// program's threads have been joined.
 pub fn end() -> Trace {
-    crate::set_enabled(false, false, false);
-    GENERATION.fetch_add(1, Ordering::AcqRel);
-    let state = ACTIVE.lock().unwrap_or_else(PoisonError::into_inner).take();
-    let Some(state) = state else {
+    FLAGS.with(|f| f.set(0));
+    let Some(Attached { session: Session(state), .. }) = CURRENT.with(|c| c.borrow_mut().take())
+    else {
         return Trace::default();
     };
     let mut events = Vec::new();
     let mut dropped = 0u64;
     let mut dropped_by_thread: BTreeMap<u32, u64> = BTreeMap::new();
     let mut corrupt = 0u64;
-    for ring in &state.rings {
+    for ring in lock(&state.rings).iter() {
         let ring_dropped = ring.dropped();
         dropped += ring_dropped;
         if ring_dropped > 0 {
@@ -130,15 +185,17 @@ pub fn end() -> Trace {
         events.extend(snap.events);
     }
     events.sort_by_key(|e| (e.start_ns, e.tid));
+    let metrics = lock(&state.metrics).snapshot();
+    let heap = heapprof::snapshot(&lock(&state.sites));
     Trace {
         events,
         names: interner_names(),
         dropped_events: dropped,
         dropped_by_thread,
         corrupt_events: corrupt,
-        duration_ns: epoch_ns().saturating_sub(state.start_ns),
-        metrics: metrics::snapshot(),
-        heap: heapprof::snapshot(),
+        duration_ns: state.start.elapsed().as_nanos() as u64,
+        metrics,
+        heap,
     }
 }
 
@@ -152,13 +209,14 @@ struct Interner {
     names: Vec<String>,
 }
 
+/// Process-wide, like the call-path trie: a symbol means the same name
+/// in every session.
 static INTERNER: Mutex<Option<Interner>> = Mutex::new(None);
 
 thread_local! {
     /// Per-thread symbol cache so repeated interning of hot names (every
     /// function call, every lock op) skips the global mutex.
-    static INTERN_CACHE: std::cell::RefCell<HashMap<String, u32>> =
-        std::cell::RefCell::new(HashMap::new());
+    static INTERN_CACHE: RefCell<HashMap<String, u32>> = RefCell::new(HashMap::new());
 }
 
 /// Intern `name`, returning a stable symbol valid for the process
@@ -168,7 +226,7 @@ pub fn intern(name: &str) -> u32 {
         if let Some(sym) = cache.borrow().get(name) {
             return *sym;
         }
-        let mut guard = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = lock(&INTERNER);
         let interner = guard.get_or_insert_with(Interner::default);
         let sym = match interner.map.get(name) {
             Some(s) => *s,
@@ -185,12 +243,7 @@ pub fn intern(name: &str) -> u32 {
 }
 
 pub(crate) fn interner_names() -> Vec<String> {
-    INTERNER
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-        .map(|i| i.names.clone())
-        .unwrap_or_default()
+    lock(&INTERNER).as_ref().map(|i| i.names.clone()).unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,12 @@
-//! Integration tests for the observability layer: sessions are
-//! process-global, so every test that begins one takes `SESSION_GUARD`
-//! first (the suite runs tests on parallel threads by default).
+//! Integration tests for the observability layer. A session belongs to
+//! the thread that began it, so these tests run in parallel without
+//! seeing each other's events.
 
-use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 use tetra_obs::{chrome, profile, session, EventKind};
-
-static SESSION_GUARD: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    SESSION_GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 #[test]
 fn disabled_mode_emits_nothing() {
-    let _guard = exclusive();
     // No session: every emission must be a no-op.
     assert!(!tetra_obs::enabled());
     tetra_obs::stmt(0, 1, tetra_obs::stack::ROOT);
@@ -21,7 +14,14 @@ fn disabled_mode_emits_nothing() {
     tetra_obs::thread_span(1, "t", 0);
     tetra_obs::lock_wait(0, "l", 2, 0, tetra_obs::stack::ROOT);
     tetra_obs::lock_hold(0, "l", 0, tetra_obs::stack::ROOT);
-    tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, 1, 0, 0);
+    tetra_obs::gc_phase(
+        tetra_obs::GC_TID,
+        tetra_obs::GcPhase::Pause,
+        1,
+        Instant::now(),
+        Instant::now(),
+        0,
+    );
     tetra_obs::vm_dispatch(0, 256, 0, tetra_obs::stack::ROOT);
     tetra_obs::metrics::counter_add("c", 1);
     // Heap profiling off: allocations are not attributed to any site.
@@ -37,13 +37,15 @@ fn disabled_mode_emits_nothing() {
 
 #[test]
 fn concurrent_emit_from_many_threads() {
-    let _guard = exclusive();
     const THREADS: u32 = 4;
     const EVENTS_PER_THREAD: u32 = 500;
     session::begin(session::Config::default());
     let handles: Vec<_> = (1..=THREADS)
         .map(|tid| {
+            // Plain std threads start outside any session; join ours.
+            let handle = session::current();
             std::thread::spawn(move || {
+                session::enter(handle);
                 let start = tetra_obs::now_ns();
                 for i in 0..EVENTS_PER_THREAD {
                     tetra_obs::stmt(tid, i + 1, tetra_obs::stack::ROOT);
@@ -68,14 +70,14 @@ fn concurrent_emit_from_many_threads() {
 
 #[test]
 fn chrome_export_has_one_track_per_tetra_thread() {
-    let _guard = exclusive();
     session::begin(session::Config::default());
+    let start = Instant::now();
     let t0 = tetra_obs::now_ns();
     tetra_obs::call(0, "main", 1, t0, tetra_obs::stack::ROOT);
     tetra_obs::thread_span(0, "main", t0);
     tetra_obs::thread_span(1, "parallel-1", t0);
     tetra_obs::thread_span(2, "parallel-2", t0);
-    tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, 1, t0, 0);
+    tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, 1, start, Instant::now(), 0);
     let trace = session::end();
     let json = chrome::export(&trace);
 
@@ -99,13 +101,13 @@ fn chrome_export_has_one_track_per_tetra_thread() {
 
 #[test]
 fn profile_report_covers_locks_and_gc() {
-    let _guard = exclusive();
     session::begin(session::Config::default());
+    let start = Instant::now();
     let t0 = tetra_obs::now_ns();
     tetra_obs::stmt(0, 3, tetra_obs::stack::ROOT);
     tetra_obs::lock_wait(0, "counter", 3, t0, tetra_obs::stack::ROOT);
     tetra_obs::lock_hold(0, "counter", t0, tetra_obs::stack::ROOT);
-    tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, 1, t0, 0);
+    tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, 1, start, Instant::now(), 0);
     let trace = session::end();
     let report = profile::report(&trace, None);
     assert!(report.contains("lock contention"), "{report}");
@@ -115,7 +117,6 @@ fn profile_report_covers_locks_and_gc() {
 
 #[test]
 fn ring_wraparound_is_bounded_and_keeps_newest() {
-    let _guard = exclusive();
     let capacity = 64;
     session::begin(session::Config { events_per_thread: capacity, ..session::Config::default() });
     let total = capacity as u32 * 3;

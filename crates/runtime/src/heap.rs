@@ -54,6 +54,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use tetra_obs::{gc_phase, GcPhase, GC_TID};
 
 /// Ceiling conversion so any nonzero duration registers as at least 1µs.
 /// Applied exactly once, at the reporting edge — internal accounting stays
@@ -750,11 +751,10 @@ impl Heap {
         }
         ctrl.gc_requested = true;
         self.gc_flag.store(true, Ordering::Release);
-        // Pause accounting always runs (it feeds GcStats); the obs spans
-        // below are no-ops without an active tracing session.
+        // One clock reading per phase boundary feeds both GcStats and the
+        // obs spans (no-ops outside a session).
         let collection = self.collections.load(Ordering::Relaxed) as u32 + 1;
         let pause_start = Instant::now();
-        let obs_pause = tetra_obs::metric_now_ns();
         {
             let slot = ctrl.slots.get_mut(&m.id).expect("mutator deregistered");
             slot.parked = true;
@@ -766,15 +766,13 @@ impl Heap {
         // deregisters here hands its segment to the pool and wakes us; from
         // the moment the predicate holds until resume, the slot/pool
         // picture is frozen (we hold the lock throughout mark and sweep).
-        let obs_stw = tetra_obs::now_ns();
         while ctrl.slots.iter().any(|(id, s)| *id != m.id && !s.parked && !s.safe_region) {
             self.cv_mutators.wait(&mut ctrl);
         }
-        tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::StwWait, collection, obs_stw, 0);
 
         // ---- world is stopped: mark ----
         let mark_start = Instant::now();
-        let obs_mark = tetra_obs::now_ns();
+        gc_phase(GC_TID, GcPhase::StwWait, collection, pause_start, mark_start, 0);
         let mut root_values: Vec<Value> = Vec::new();
         let mut seen_frames = std::collections::HashSet::new();
         for slot in ctrl.slots.values() {
@@ -811,19 +809,12 @@ impl Heap {
             });
         }
         self.mark_workers.fetch_max(workers as u64, Ordering::Relaxed);
-        let mark_ns = mark_start.elapsed().as_nanos() as u64;
+        let sweep_start = Instant::now();
+        let mark_ns = (sweep_start - mark_start).as_nanos() as u64;
         self.mark_ns_total.fetch_add(mark_ns, Ordering::Relaxed);
-        tetra_obs::gc_phase(
-            tetra_obs::GC_TID,
-            tetra_obs::GcPhase::Mark,
-            collection,
-            obs_mark,
-            workers as u32,
-        );
+        gc_phase(GC_TID, GcPhase::Mark, collection, mark_start, sweep_start, workers as u32);
 
         // ---- sweep, one segment at a time ----
-        let sweep_start = Instant::now();
-        let obs_sweep = tetra_obs::now_ns();
         // Live-after-GC census per allocation site, taken while the sweep
         // already walks every object. Only populated under --heap-profile.
         let profiling = tetra_obs::heap_profile_enabled();
@@ -852,17 +843,12 @@ impl Heap {
         self.threshold.store((live * 2).max(self.min_threshold), Ordering::Relaxed);
         self.objects_freed.fetch_add(freed, Ordering::Relaxed);
         self.collections.fetch_add(1, Ordering::Relaxed);
-        let sweep_ns = sweep_start.elapsed().as_nanos() as u64;
+        let pause_end = Instant::now();
+        let sweep_ns = (pause_end - sweep_start).as_nanos() as u64;
         self.sweep_ns_total.fetch_add(sweep_ns, Ordering::Relaxed);
-        tetra_obs::gc_phase(
-            tetra_obs::GC_TID,
-            tetra_obs::GcPhase::Sweep,
-            collection,
-            obs_sweep,
-            segments_swept,
-        );
-        tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, collection, obs_pause, 0);
-        self.record_pause_ns(pause_start.elapsed().as_nanos() as u64);
+        gc_phase(GC_TID, GcPhase::Sweep, collection, sweep_start, pause_end, segments_swept);
+        gc_phase(GC_TID, GcPhase::Pause, collection, pause_start, pause_end, 0);
+        self.record_pause_ns((pause_end - pause_start).as_nanos() as u64);
 
         // ---- resume the world ----
         ctrl.gc_requested = false;

@@ -24,6 +24,7 @@
 //! per-construct spawn cost. All counters are plain atomics flushed to the
 //! `tetra-obs` metrics registry once per run — never on the hot path.
 
+use crate::threads;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -331,11 +332,10 @@ impl WorkerPool {
         let handles = (0..workers)
             .map(|i| {
                 let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("tetra-pool-{i}"))
-                    .stack_size(stack_size)
-                    .spawn(move || worker_loop(shared, i))
-                    .expect("could not spawn a pool worker thread")
+                threads::spawn(format!("tetra-pool-{i}"), stack_size, move || {
+                    worker_loop(shared, i)
+                })
+                .expect("could not spawn a pool worker thread")
             })
             .collect();
         WorkerPool { shared, stack_size, handles: Mutex::new(handles) }
@@ -407,10 +407,10 @@ impl WorkerPool {
         let mut spares = Vec::new();
         while let Some(unit) = self.shared.find_group_work(&group, helper, false) {
             let shared = self.shared.clone();
-            let spare = std::thread::Builder::new()
-                .name("tetra-pool-spare".to_string())
-                .stack_size(self.stack_size)
-                .spawn(move || shared.execute(helper, unit))
+            let spare =
+                threads::spawn("tetra-pool-spare".to_string(), self.stack_size, move || {
+                    shared.execute(helper, unit)
+                })
                 .expect("could not spawn a spare pool thread");
             spares.push(spare);
         }

@@ -9,6 +9,22 @@
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// Start an OS thread of a run, named `name` with `stack_size` bytes of
+/// stack. The thread enters the observability session of the thread that
+/// starts it, so everything it records belongs to the same run.
+pub fn spawn<T: Send + 'static>(
+    name: String,
+    stack_size: usize,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::io::Result<JoinHandle<T>> {
+    let session = tetra_obs::session::current();
+    std::thread::Builder::new().name(name).stack_size(stack_size).spawn(move || {
+        tetra_obs::session::enter(session);
+        f()
+    })
+}
 
 /// Why the thread exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

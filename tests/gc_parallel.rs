@@ -3,19 +3,9 @@
 //! single-threaded runs (no lost or corrupted objects), heap-profiler
 //! census consistency, and the parallel-mark worker plan.
 
-use std::sync::{Mutex, MutexGuard};
 use tetra::runtime::heap::{NoRoots, RootSink, RootSource};
 use tetra::runtime::{Heap, HeapConfig, Value};
 use tetra::{BufferConsole, InterpConfig, Tetra, VmConfig};
-
-/// Observability sessions are process-global, and every heap records its
-/// collections into an active session's metrics; serialize the tests that
-/// open a session or collect (same pattern as tests/flame_and_heap.rs).
-static SESSION_GUARD: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    SESSION_GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn run_interp(src: &str, threads: usize, stress: bool) -> (String, tetra::RunStats) {
     let p = Tetra::compile(src).unwrap_or_else(|e| panic!("{}", e.render()));
@@ -59,7 +49,6 @@ def main():
 
 #[test]
 fn parallel_alloc_storm_matches_single_threaded_run() {
-    let _guard = exclusive();
     // The unstressed single-threaded run is the oracle; stress-mode runs at
     // 1 and 4 workers must produce byte-identical output (no lost objects).
     let (oracle, _) = run_interp(ALLOC_STORM, 1, false);
@@ -73,7 +62,6 @@ fn parallel_alloc_storm_matches_single_threaded_run() {
 
 #[test]
 fn allocator_counters_account_for_every_allocation() {
-    let _guard = exclusive();
     let (_, stats) = run_interp(ALLOC_STORM, 4, true);
     // Every allocation is either a free-list pop or a one-chunk refill;
     // there is no third (locked) path for it to disappear into.
@@ -88,7 +76,6 @@ fn allocator_counters_account_for_every_allocation() {
 
 #[test]
 fn vm_survives_the_same_storm_under_stress() {
-    let _guard = exclusive();
     let p = Tetra::compile(ALLOC_STORM).unwrap();
     let console = BufferConsole::new();
     let cfg = VmConfig {
@@ -102,7 +89,6 @@ fn vm_survives_the_same_storm_under_stress() {
 
 #[test]
 fn spawn_exit_churn_under_stress_terminates_cleanly() {
-    let _guard = exclusive();
     // Repeated parallel-for waves spawn and retire mutators while stress
     // collections fire constantly — exercising mutator exit with the
     // gc_flag raised and pooled-segment reuse across waves.
@@ -123,7 +109,6 @@ def main():
 
 #[test]
 fn forced_gc_in_parallel_region_uses_multiple_mark_workers() {
-    let _guard = exclusive();
     // The parallel-mark gate counts top-level root values, so main recurses
     // 40 frames deep with two string locals pinned per frame (80+ roots)
     // before blocking on the join. Workers then call gc(): at least two
@@ -158,7 +143,6 @@ def main():
 fn metrics_only_pause_histogram_matches_gc_stats() {
     // Without a trace, `gc.pause_ns` must still time each pause, not the
     // time since the session began.
-    let _guard = exclusive();
     tetra::obs::session::begin(tetra::obs::session::Config {
         trace: false,
         metrics: true,
@@ -174,13 +158,38 @@ fn metrics_only_pause_histogram_matches_gc_stats() {
     let trace = tetra::obs::session::end();
     let h = &trace.metrics.histograms["gc.pause_ns"];
     assert_eq!(h.count, stats.gc.collections, "{:?}", stats.gc);
-    let expected = stats.gc.pause_total_us * 1000;
-    assert!(
-        h.sum <= 2 * expected && 2 * h.sum >= expected,
+    // The heap times each pause once and feeds the same reading to both.
+    assert_eq!(
+        h.sum.div_ceil(1000),
+        stats.gc.pause_total_us,
         "gc.pause_ns sum {} ns vs GcStats pause total {} us",
         h.sum,
         stats.gc.pause_total_us
     );
+}
+
+/// A run on a thread outside any session records nothing, even while
+/// another thread holds one.
+#[test]
+fn unobserved_run_leaves_a_concurrent_session_untouched() {
+    tetra::obs::session::begin(tetra::obs::session::Config {
+        trace: false,
+        metrics: true,
+        heap_profile: false,
+        ..Default::default()
+    });
+    let storm = std::thread::spawn(|| run_interp(ALLOC_STORM, 4, true));
+    let (_, stats) = storm.join().expect("storm thread panicked");
+    let trace = tetra::obs::session::end();
+    assert!(stats.gc.collections > 0, "stress mode must collect: {:?}", stats.gc);
+    let metrics = &trace.metrics;
+    let leaked: Vec<&String> = metrics
+        .counters
+        .keys()
+        .chain(metrics.histograms.keys())
+        .filter(|k| ["gc.", "pool.", "env."].iter().any(|p| k.starts_with(p)))
+        .collect();
+    assert!(leaked.is_empty(), "an unobserved run leaked into the session: {leaked:?}");
 }
 
 struct VecRoots(Vec<Value>);
@@ -194,7 +203,6 @@ impl RootSource for VecRoots {
 
 #[test]
 fn heap_profiler_census_matches_live_bytes_exactly() {
-    let _guard = exclusive();
     tetra::obs::session::begin(tetra::obs::session::Config {
         trace: false,
         metrics: false,
@@ -238,7 +246,6 @@ fn heap_profiler_census_matches_live_bytes_exactly() {
 
 #[test]
 fn gc_stats_phase_times_are_populated() {
-    let _guard = exclusive();
     let heap = Heap::new(HeapConfig::default());
     let m = heap.register_mutator();
     let mut kept = Vec::new();
