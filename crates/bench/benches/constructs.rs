@@ -51,12 +51,11 @@ fn bench_locks(c: &mut Criterion) {
 
 fn bench_interp_vs_vm(c: &mut Criterion) {
     // Same sequential workload under both engines. The bytecode VM pays
-    // for its determinism: every value lives behind shared GC-rootable
-    // tables and the scheduler accounts virtual time per instruction, so
-    // the instrumented VM runs ~2x slower than the tree-walker in wall
-    // clock while providing reproducible schedules and virtual-time
-    // speedup measurement. (A production native compiler — the paper's
-    // §VI plan — would drop the instrumentation.)
+    // for its determinism (GC-rootable shared tables, virtual time
+    // accounted per instruction) and the tree-walker for re-walking the
+    // AST; BENCH_constructs.json holds the measured ratio. (A production
+    // native compiler — the paper's §VI plan — would drop the VM's
+    // instrumentation.)
     let src = "\
 def work() int:
     total = 0

@@ -7,10 +7,10 @@
 //! through [`tetra_stdlib::ops`].
 
 use crate::hooks::Loc;
-use crate::thread::{RootsView, ThreadCtx, MAX_CALL_DEPTH};
-use tetra_ast::{BinOp, Expr, ExprKind, FuncDef, UnOp};
+use crate::thread::{Error, PrivateFrame, ThreadCtx, MAX_CALL_DEPTH};
+use tetra_ast::{BinOp, Expr, ExprKind, UnOp};
 use tetra_intern::Symbol;
-use tetra_runtime::{DictKey, Env, ErrorKind, Object, RuntimeError, Value};
+use tetra_runtime::{DictKey, Env, ErrorKind, Object, Value};
 use tetra_stdlib::ops;
 use tetra_stdlib::Builtin;
 use tetra_types::Callee;
@@ -18,19 +18,18 @@ use tetra_types::Callee;
 /// Run `f` with an operator context borrowed from this thread's state.
 macro_rules! with_ops {
     ($self:expr, $f:expr) => {{
-        let view = RootsView { temps: &$self.temps, envs: &$self.env_stack };
         let ctx = ops::OpCtx {
             heap: &$self.shared.heap,
             mutator: &$self.mutator,
-            roots: &view,
+            roots: &*$self,
             line: $self.line,
         };
-        $f(&ctx)
+        $f(&ctx).map_err(Box::new)
     }};
 }
 
-impl ThreadCtx {
-    pub fn eval(&mut self, e: &Expr) -> Result<Value, RuntimeError> {
+impl ThreadCtx<'_> {
+    pub fn eval(&mut self, e: &Expr) -> Result<Value, Error> {
         match &e.kind {
             ExprKind::Int(v) => Ok(Value::Int(*v)),
             ExprKind::Real(v) => Ok(Value::Real(*v)),
@@ -42,12 +41,10 @@ impl ThreadCtx {
                 // (frame, slot) coordinate — no hashing, no chain walk.
                 if let Some((up, slot)) = self.shared.typed.resolution.coord(e.id) {
                     self.env_slot_hits += 1;
-                    let env = self.current_env();
-                    return match env.read_slot(up, slot) {
+                    return match self.read_var(up, slot) {
                         Some(v) => {
                             if self.shared.hook.is_some() {
-                                let frame = self.current_env().frame_addr(up);
-                                self.emit_read(Loc::Frame(frame, slot as u32), *name);
+                                self.emit_read(self.var_loc(up, slot), *name);
                             }
                             Ok(v)
                         }
@@ -155,7 +152,7 @@ impl ThreadCtx {
     }
 
     /// Evaluate a condition, requiring a bool.
-    pub fn eval_bool(&mut self, e: &Expr) -> Result<bool, RuntimeError> {
+    pub fn eval_bool(&mut self, e: &Expr) -> Result<bool, Error> {
         match self.eval(e)? {
             Value::Bool(b) => Ok(b),
             other => Err(self.err(
@@ -165,7 +162,7 @@ impl ThreadCtx {
         }
     }
 
-    fn eval_binary(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Value, RuntimeError> {
+    fn eval_binary(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Value, Error> {
         // Short-circuit logical operators first.
         if matches!(op, BinOp::And | BinOp::Or) {
             let l = self.eval_bool(lhs)?;
@@ -177,9 +174,9 @@ impl ThreadCtx {
         }
         let mark = self.temp_mark();
         let l = self.eval(lhs)?;
-        self.push_temp(l);
+        self.root_temp(l);
         let r = self.eval(rhs)?;
-        self.push_temp(r);
+        self.root_temp(r);
         let result = self.apply_binop(op, l, r);
         self.truncate_temps(mark);
         result
@@ -187,11 +184,11 @@ impl ThreadCtx {
 
     /// Apply a (non-logical) binary operator to evaluated operands. Also
     /// used by compound assignment.
-    pub fn apply_binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {
+    pub fn apply_binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, Error> {
         with_ops!(self, |ctx| ops::binary(ctx, op, l, r))
     }
 
-    pub fn index_read(&mut self, base: Value, index: Value) -> Result<Value, RuntimeError> {
+    pub fn index_read(&mut self, base: Value, index: Value) -> Result<Value, Error> {
         let v = with_ops!(self, |ctx| ops::index_read(ctx, base, index))?;
         if let Value::Obj(obj) = base {
             if matches!(obj.object(), Object::Array(_) | Object::Dict(_)) {
@@ -201,12 +198,7 @@ impl ThreadCtx {
         Ok(v)
     }
 
-    pub fn index_write(
-        &mut self,
-        base: Value,
-        index: Value,
-        new: Value,
-    ) -> Result<(), RuntimeError> {
+    pub fn index_write(&mut self, base: Value, index: Value, new: Value) -> Result<(), Error> {
         with_ops!(self, |ctx| ops::index_write(ctx, base, index, new))?;
         if let Value::Obj(obj) = base {
             self.emit_write(Loc::Obj(obj.addr()), Symbol::intern("[element]"));
@@ -214,12 +206,7 @@ impl ThreadCtx {
         Ok(())
     }
 
-    fn eval_call(
-        &mut self,
-        e: &Expr,
-        callee: Symbol,
-        args: &[Expr],
-    ) -> Result<Value, RuntimeError> {
+    fn eval_call(&mut self, e: &Expr, callee: Symbol, args: &[Expr]) -> Result<Value, Error> {
         let mark = self.temp_mark();
         for arg in args {
             let v = self.eval(arg)?;
@@ -244,34 +231,51 @@ impl ThreadCtx {
         result
     }
 
-    pub fn call_user(&mut self, idx: usize, args: &[Value]) -> Result<Value, RuntimeError> {
+    pub fn call_user(&mut self, idx: usize, args: &[Value]) -> Result<Value, Error> {
         if self.call_depth >= MAX_CALL_DEPTH {
             return Err(self.err(
                 ErrorKind::Value,
                 format!("call depth exceeded {MAX_CALL_DEPTH} (infinite recursion?)"),
             ));
         }
-        let shared = self.shared.clone();
-        let func: &FuncDef = &shared.typed.program.funcs[idx];
+        // Copy the `&Shared` out of `self`: the definition stays borrowed
+        // while the body runs on `&mut self`, with no reference count
+        // touched.
+        let shared = self.shared;
+        let func = &shared.typed.program.funcs[idx];
         debug_assert_eq!(func.params.len(), args.len());
-        let layout = shared.typed.resolution.func_layout(idx);
-        let env = if layout.len() >= func.params.len() {
-            // Resolved layout: parameters occupy the leading slots.
-            let env = Env::new_with_layout(layout);
-            let frame = env.innermost();
+        let resolution = &shared.typed.resolution;
+        let layout = resolution.func_layout(idx);
+        let caller_frame = self.private;
+        if resolution.func_is_private(idx) {
+            // Private frame: slots on this thread's own stack, parameters
+            // in the leading ones.
+            let base = self.locals.len();
+            self.locals.resize(base + layout.len(), None);
             for (i, (p, v)) in func.params.iter().zip(args).enumerate() {
-                frame.set_slot(i, ops::widen_to(&p.ty, *v));
+                self.locals[base + i] = Some(ops::widen_to(&p.ty, *v));
             }
-            env
+            self.private = Some(PrivateFrame { base, layout });
         } else {
-            // All-dynamic resolution (oracle/REPL): bind by name.
-            let env = Env::new();
-            for (p, v) in func.params.iter().zip(args) {
-                env.define(p.name, ops::widen_to(&p.ty, *v));
-            }
-            env
-        };
-        self.env_stack.push(env);
+            let env = if layout.len() >= func.params.len() {
+                // Resolved layout: parameters occupy the leading slots.
+                let env = Env::new_with_layout(layout.clone());
+                let frame = env.innermost();
+                for (i, (p, v)) in func.params.iter().zip(args).enumerate() {
+                    frame.set_slot(i, ops::widen_to(&p.ty, *v));
+                }
+                env
+            } else {
+                // All-dynamic resolution (oracle/REPL): bind by name.
+                let env = Env::new();
+                for (p, v) in func.params.iter().zip(args) {
+                    env.define(p.name, ops::widen_to(&p.ty, *v));
+                }
+                env
+            };
+            self.env_stack.push(env);
+            self.private = None;
+        }
         self.call_depth += 1;
         let saved_line = self.line;
         // Shadow-stack frame for attribution (flame output, allocation
@@ -290,7 +294,13 @@ impl ThreadCtx {
             self.shadow.pop();
         }
         self.call_depth -= 1;
-        self.env_stack.pop();
+        match self.private {
+            Some(frame) => self.locals.truncate(frame.base),
+            None => {
+                self.env_stack.pop();
+            }
+        }
+        self.private = caller_frame;
         self.line = saved_line;
         self.cell.set_line(saved_line);
         match result? {
@@ -299,16 +309,15 @@ impl ThreadCtx {
         }
     }
 
-    fn call_builtin(&mut self, b: Builtin, args: &[Value]) -> Result<Value, RuntimeError> {
-        let view = RootsView { temps: &self.temps, envs: &self.env_stack };
+    fn call_builtin(&mut self, b: Builtin, args: &[Value]) -> Result<Value, Error> {
         let ctx = tetra_stdlib::HostCtx {
             heap: &self.shared.heap,
             mutator: &self.mutator,
-            roots: &view,
+            roots: &*self,
             console: &self.shared.console,
             thread: Some(&self.cell),
             line: self.line,
         };
-        tetra_stdlib::call_builtin(b, &ctx, args)
+        tetra_stdlib::call_builtin(b, &ctx, args).map_err(Box::new)
     }
 }

@@ -13,7 +13,7 @@
 //! collection can never miss them), and block inside GC safe regions.
 
 use crate::hooks::{ExecEvent, Loc};
-use crate::thread::{SpawnRoots, ThreadCtx, THREAD_STACK_SIZE};
+use crate::thread::{Error, Parked, SpawnRoots, ThreadCtx, THREAD_STACK_SIZE};
 use crate::Shared;
 
 use parking_lot::{Condvar, Mutex};
@@ -22,8 +22,7 @@ use std::sync::Arc;
 use tetra_ast::{AssignOp, Block, Expr, NodeId, Stmt, StmtKind, Target};
 use tetra_intern::Symbol;
 use tetra_runtime::{
-    threads, Env, ErrorKind, MutatorGuard, Object, RuntimeError, ThreadCell, ThreadKind,
-    ThreadState, Value,
+    threads, Env, ErrorKind, MutatorGuard, Object, ThreadCell, ThreadKind, ThreadState, Value,
 };
 
 /// Control flow result of a statement.
@@ -35,9 +34,9 @@ pub enum Flow {
     Return(Value),
 }
 
-impl ThreadCtx {
+impl ThreadCtx<'_> {
     /// Execute a block, stopping at the first non-normal flow.
-    pub fn exec_block(&mut self, block: &Block) -> Result<Flow, RuntimeError> {
+    pub fn exec_block(&mut self, block: &Block) -> Result<Flow, Error> {
         for stmt in &block.stmts {
             match self.exec_stmt(stmt)? {
                 Flow::Normal => {}
@@ -47,7 +46,7 @@ impl ThreadCtx {
         Ok(Flow::Normal)
     }
 
-    pub fn exec_stmt(&mut self, stmt: &Stmt) -> Result<Flow, RuntimeError> {
+    pub fn exec_stmt(&mut self, stmt: &Stmt) -> Result<Flow, Error> {
         self.statement_prologue(stmt)?;
         match &stmt.kind {
             StmtKind::Pass => Ok(Flow::Normal),
@@ -117,7 +116,7 @@ impl ThreadCtx {
                 for item in items {
                     match coord {
                         Some((up, slot)) => {
-                            self.current_env().write_slot(up, slot, item);
+                            self.write_var(up, slot, item);
                         }
                         None => {
                             self.current_env().define(*var, item);
@@ -160,7 +159,7 @@ impl ThreadCtx {
                         let msg = self.alloc_string(e.message.clone());
                         match self.shared.typed.resolution.coord(*err_id) {
                             Some((up, slot)) => {
-                                self.current_env().write_slot(up, slot, msg);
+                                self.write_var(up, slot, msg);
                             }
                             None => {
                                 self.current_env().set(*err_name, msg);
@@ -176,7 +175,7 @@ impl ThreadCtx {
     /// Evaluate a `for`/`parallel for` sequence into a snapshot of items.
     /// Arrays are snapshotted at loop entry (concurrent `append`s during the
     /// loop do not change the iteration).
-    fn eval_iterable(&mut self, iter: &Expr) -> Result<Vec<Value>, RuntimeError> {
+    fn eval_iterable(&mut self, iter: &Expr) -> Result<Vec<Value>, Error> {
         let mark = self.temp_mark();
         let v = self.eval(iter)?;
         self.push_temp(v);
@@ -205,12 +204,7 @@ impl ThreadCtx {
         result
     }
 
-    fn exec_assign(
-        &mut self,
-        target: &Target,
-        op: AssignOp,
-        value: &Expr,
-    ) -> Result<(), RuntimeError> {
+    fn exec_assign(&mut self, target: &Target, op: AssignOp, value: &Expr) -> Result<(), Error> {
         match target {
             Target::Name { name, id, .. } => {
                 if let Some((up, slot)) = self.shared.typed.resolution.coord(*id) {
@@ -280,9 +274,9 @@ impl ThreadCtx {
         slot: usize,
         op: AssignOp,
         value: &Expr,
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<(), Error> {
         self.env_slot_hits += 1;
-        let current = self.current_env().read_slot(up, slot);
+        let current = self.read_var(up, slot);
         let new = match op.binop() {
             None => self.eval(value)?,
             Some(binop) => {
@@ -293,9 +287,9 @@ impl ThreadCtx {
                     )
                 })?;
                 let mark = self.temp_mark();
-                self.push_temp(current);
+                self.root_temp(current);
                 let rhs = self.eval(value)?;
-                self.push_temp(rhs);
+                self.root_temp(rhs);
                 let out = self.apply_binop(binop, current, rhs);
                 self.truncate_temps(mark);
                 out?
@@ -303,16 +297,16 @@ impl ThreadCtx {
         };
         // Keep runtime reals real when the checker said so.
         let new = tetra_stdlib::ops::widen_like(current, new);
-        let frame = self.current_env().write_slot(up, slot, new);
+        let loc = self.write_var(up, slot, new);
         if self.shared.hook.is_some() {
-            self.emit_write(Loc::Frame(frame, slot as u32), name);
+            self.emit_write(loc, name);
         }
         Ok(())
     }
 
     // ---- parallel constructs ------------------------------------------------
 
-    fn exec_lock(&mut self, name: Symbol, body: &Block, line: u32) -> Result<Flow, RuntimeError> {
+    fn exec_lock(&mut self, name: Symbol, body: &Block, line: u32) -> Result<Flow, Error> {
         let tid = self.cell.id;
         self.emit(ExecEvent::LockWait { id: tid, name, line });
         self.cell.set_state(ThreadState::WaitingLock);
@@ -337,7 +331,7 @@ impl ThreadCtx {
     /// (the registry, debugger and flame views see a thread per arm), but
     /// the arm count is decoupled from the OS thread count — extra arms
     /// queue on the pool, and the parent helps while it waits.
-    fn exec_parallel(&mut self, body: &Block) -> Result<(), RuntimeError> {
+    fn exec_parallel(&mut self, body: &Block) -> Result<(), Error> {
         if body.stmts.is_empty() {
             return Ok(());
         }
@@ -345,7 +339,7 @@ impl ThreadCtx {
         let frames = self.current_env().frames().to_vec();
         let spawn_node = self.current_stack_node();
         let arms = Arc::new(body.clone());
-        let results: Arc<Mutex<Vec<Option<RuntimeError>>>> =
+        let results: Arc<Mutex<Vec<Option<Error>>>> =
             Arc::new(Mutex::new((0..n).map(|_| None).collect()));
         let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(n);
         for i in 0..n {
@@ -364,7 +358,7 @@ impl ThreadCtx {
             let arms = arms.clone();
             let results = results.clone();
             tasks.push(Box::new(move || {
-                let mut ctx = ThreadCtx::new_child(shared, guard, cell, env, spawn_node);
+                let mut ctx = ThreadCtx::new_child(&shared, guard, cell, env, spawn_node);
                 let r = ctx.exec_stmt(&arms.stmts[i]);
                 ctx.finish_thread();
                 if let Err(e) = r {
@@ -389,7 +383,7 @@ impl ThreadCtx {
 
     /// Spawn one dedicated OS thread per child statement without joining;
     /// `Interp::run` joins them when `main` returns.
-    fn exec_background(&mut self, body: &Block) -> Result<(), RuntimeError> {
+    fn exec_background(&mut self, body: &Block) -> Result<(), Error> {
         let frames = self.current_env().frames().to_vec();
         // Children attribute to the call path that spawned them until they
         // call a function of their own.
@@ -412,7 +406,7 @@ impl ThreadCtx {
             });
             let handle =
                 threads::spawn(format!("tetra-{}", cell.id), THREAD_STACK_SIZE, move || {
-                    let mut ctx = ThreadCtx::new_child(shared, guard, cell, env, spawn_node);
+                    let mut ctx = ThreadCtx::new_child(&shared, guard, cell, env, spawn_node);
                     let result = ctx.exec_stmt(&arms.stmts[i]).map(|_| ());
                     ctx.finish_thread();
                     result
@@ -434,7 +428,7 @@ impl ThreadCtx {
         stmt_id: NodeId,
         items: Vec<Value>,
         body: &Block,
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<(), Error> {
         if items.is_empty() {
             return Ok(());
         }
@@ -493,18 +487,14 @@ impl ThreadCtx {
             // Materialize workers that never ran an item while still in
             // the safe region: `new_child` waits out pending collections,
             // which needs this thread to count as parked.
-            let mut ctxs: Vec<Box<ThreadCtx>> = Vec::with_capacity(workers);
+            let mut ctxs: Vec<ThreadCtx> = Vec::with_capacity(workers);
             for slot in job.slots.lock().drain(..) {
                 match slot {
-                    Some(WorkerSlot::Ready(ctx)) => ctxs.push(ctx),
+                    Some(WorkerSlot::Ready(parked)) => {
+                        ctxs.push(ThreadCtx::unpark(self.shared, parked));
+                    }
                     Some(WorkerSlot::Fresh { guard, cell, env }) => {
-                        ctxs.push(Box::new(ThreadCtx::new_child(
-                            self.shared.clone(),
-                            guard,
-                            cell,
-                            env,
-                            spawn_node,
-                        )));
+                        ctxs.push(ThreadCtx::new_child(self.shared, guard, cell, env, spawn_node));
                     }
                     None => {}
                 }
@@ -561,7 +551,7 @@ enum WorkerSlot {
     /// that on the submitting thread could deadlock the collector).
     Fresh { guard: MutatorGuard, cell: Arc<ThreadCell>, env: Env },
     /// A context left behind by a previous range execution.
-    Ready(Box<ThreadCtx>),
+    Ready(Parked),
 }
 
 /// Shared state of one pooled `parallel for`: the body (cloned once), the
@@ -585,14 +575,14 @@ struct PforJob {
     /// threads to the debugger and the lockset race detector.
     next_slot: AtomicUsize,
     available: Condvar,
-    error: Mutex<Option<RuntimeError>>,
+    error: Mutex<Option<Error>>,
     /// Set on the first error: later ranges drain without executing,
     /// mirroring the VM model's cancel-on-error.
     cancelled: AtomicBool,
 }
 
 impl PforJob {
-    fn checkout(&self) -> Box<ThreadCtx> {
+    fn checkout(&self) -> ThreadCtx<'_> {
         let mut slots = self.slots.lock();
         loop {
             // Prefer the next slot in rotation (identity striping); settle
@@ -608,27 +598,24 @@ impl PforJob {
                 let slot = slots[pos].take().expect("position() found Some");
                 drop(slots);
                 return match slot {
-                    WorkerSlot::Ready(ctx) => {
+                    WorkerSlot::Ready(parked) => {
                         // The context idled in a GC safe region; leave it
                         // (waiting out any in-progress collection) before
                         // running user code on it again.
+                        let ctx = ThreadCtx::unpark(&self.shared, parked);
                         ctx.resume_idle();
                         ctx
                     }
-                    WorkerSlot::Fresh { guard, cell, env } => Box::new(ThreadCtx::new_child(
-                        self.shared.clone(),
-                        guard,
-                        cell,
-                        env,
-                        self.spawn_node,
-                    )),
+                    WorkerSlot::Fresh { guard, cell, env } => {
+                        ThreadCtx::new_child(&self.shared, guard, cell, env, self.spawn_node)
+                    }
                 };
             }
             self.available.wait(&mut slots);
         }
     }
 
-    fn checkin(&self, ctx: Box<ThreadCtx>) {
+    fn checkin(&self, ctx: ThreadCtx) {
         // Once in the slot no OS thread drives this context, so it cannot
         // reach a safepoint: park its mutator in the idle safe region (roots
         // published) *before* exposing it, or a stress collection would wait
@@ -636,7 +623,7 @@ impl PforJob {
         ctx.suspend_idle();
         let mut slots = self.slots.lock();
         if let Some(pos) = slots.iter().position(|s| s.is_none()) {
-            slots[pos] = Some(WorkerSlot::Ready(ctx));
+            slots[pos] = Some(WorkerSlot::Ready(ctx.park()));
         }
         drop(slots);
         self.available.notify_one();

@@ -30,6 +30,10 @@ pub enum HookDecision {
 pub enum Loc {
     /// (frame address, slot index within the frame).
     Frame(usize, u32),
+    /// A slot of a thread-private function frame: its index in the owning
+    /// logical thread's slot stack. Only that thread can touch it, so it
+    /// never aliases another thread's location or a shared frame's.
+    Local { thread: u32, index: u32 },
     /// Heap object address.
     Obj(usize),
 }

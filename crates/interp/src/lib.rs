@@ -95,7 +95,7 @@ pub struct Shared {
     pub threads: Arc<ThreadRegistry>,
     pub console: ConsoleRef,
     pub hook: Option<Arc<dyn DebugHook>>,
-    pub(crate) background: Mutex<Vec<std::thread::JoinHandle<Result<(), RuntimeError>>>>,
+    pub(crate) background: Mutex<Vec<std::thread::JoinHandle<Result<(), thread::Error>>>>,
     /// The work-stealing pool, created lazily on the first parallel
     /// construct and reused for the rest of the run.
     pub(crate) pool: OnceLock<WorkerPool>,
@@ -189,7 +189,7 @@ impl Interp {
             .program
             .func_index("main")
             .ok_or_else(|| RuntimeError::new(ErrorKind::UndefinedFunction, "no main()", 0))?;
-        let mut ctx = ThreadCtx::new_main(self.shared.clone());
+        let mut ctx = ThreadCtx::new_main(&self.shared);
         let result = ctx.call_user(main_idx, &[]).map(|_| ());
         ctx.finish_thread();
         // Main is done; join the stragglers from `background:` blocks (a
@@ -204,9 +204,9 @@ impl Interp {
         if let Some(pool) = self.shared.pool.get() {
             pool.publish_metrics();
         }
-        result?;
+        result.map_err(|e| *e)?;
         if let Some(e) = background_error {
-            return Err(e);
+            return Err(*e);
         }
         Ok(RunStats {
             gc: self.shared.heap.stats(),

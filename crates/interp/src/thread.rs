@@ -5,6 +5,14 @@
 //! its call stack of environments, a temporary root stack for values held
 //! across GC points, its held-lock list, and its registration with the GC
 //! and the thread registry.
+//!
+//! A function frame is one of two kinds. A *shared* frame is an `Env`
+//! frame (`Arc` + `RwLock`), because `parallel:`, `background:` and
+//! `parallel for` hand it to other threads. A *private* frame belongs to a
+//! function the resolver proved never does that
+//! ([`tetra_types::Resolution::func_is_private`]): its slots live in this
+//! thread's own `locals` stack, read and written with no lock, no atomic
+//! and no allocation per call.
 
 use crate::hooks::{ExecEvent, HookDecision, HookPoint, Inspect, Loc};
 use crate::Shared;
@@ -13,23 +21,38 @@ use tetra_ast::Stmt;
 use tetra_intern::Symbol;
 use tetra_runtime::{
     Env, ErrorKind, FrameRef, GcRef, MutatorGuard, Object, RootSink, RootSource, RuntimeError,
-    ThreadCell, ThreadState, Value,
+    SlotLayout, ThreadCell, ThreadState, Value,
 };
 
 /// Stack size for spawned Tetra threads: recursive tree-walking plus user
 /// recursion needs room.
 pub(crate) const THREAD_STACK_SIZE: usize = 32 * 1024 * 1024;
 
+/// A runtime error inside the interpreter, boxed so `Result<Value, Error>`
+/// and `Result<Flow, Error>` are 16 bytes, the size of a `Value`, not 32:
+/// every `eval` and `exec_stmt` returns a smaller result on the hot path.
+/// [`crate::Interp::run`] unboxes it.
+pub(crate) type Error = Box<RuntimeError>;
+
 /// Maximum Tetra call depth before reporting a (catchable) error instead of
 /// exhausting the native stack.
 pub(crate) const MAX_CALL_DEPTH: u32 = 1000;
 
-pub(crate) struct ThreadCtx {
-    pub shared: Arc<Shared>,
+pub(crate) struct ThreadCtx<'s> {
+    /// Borrowed, not cloned: a call copies this reference to keep its
+    /// `FuncDef` borrowed while the body runs, so no call writes the
+    /// program-wide reference count that every thread's accesses read.
+    pub shared: &'s Arc<Shared>,
     pub mutator: MutatorGuard,
     pub cell: Arc<ThreadCell>,
-    /// Call stack of environments; last is the current function's.
+    /// Call stack of shared environments; last is the innermost shared
+    /// function's (private frames live in `locals`).
     pub env_stack: Vec<Env>,
+    /// Slots of this thread's private function frames, innermost last.
+    pub locals: Vec<Option<Value>>,
+    /// The executing function's private frame; `None` while it runs in
+    /// the shared frame on top of `env_stack`.
+    pub private: Option<PrivateFrame<'s>>,
     /// Temporary GC roots: intermediate values alive across GC points.
     pub temps: Vec<Value>,
     /// Lock names this thread currently holds, innermost last.
@@ -54,19 +77,40 @@ pub(crate) struct ThreadCtx {
     pub env_chain_depth_walked: u64,
 }
 
-/// Borrowed root view over a `ThreadCtx`'s state (avoids aliasing issues
-/// between `&mut self` and the GC's `&dyn RootSource`).
-pub(crate) struct RootsView<'a> {
-    pub temps: &'a [Value],
-    pub envs: &'a [Env],
+/// A private function frame: `layout.len()` slots of `locals` from `base`.
+#[derive(Clone, Copy)]
+pub(crate) struct PrivateFrame<'s> {
+    pub base: usize,
+    pub layout: &'s SlotLayout,
 }
 
-impl RootSource for RootsView<'_> {
+/// A pooled `parallel for` worker between ranges: its context without the
+/// borrow of `Shared`. No lock, call or private frame is live then; an
+/// error may leave temporaries behind, which are dropped, because the
+/// loop runs no further ranges after an error.
+pub(crate) struct Parked {
+    mutator: MutatorGuard,
+    cell: Arc<ThreadCell>,
+    env: Env,
+    shadow_root: u32,
+    span_start_ns: u64,
+    env_slot_hits: u64,
+    env_dynamic_fallbacks: u64,
+    env_chain_depth_walked: u64,
+}
+
+/// A thread's GC roots: its temporaries, its private frames' slots and its
+/// shared frames. The context is its own root source, so handing it to the
+/// heap reads nothing until a collection actually marks.
+impl RootSource for ThreadCtx<'_> {
     fn roots(&self, sink: &mut RootSink) {
-        for v in self.temps {
+        for v in &self.temps {
             sink.value(*v);
         }
-        for env in self.envs {
+        for v in self.locals.iter().flatten() {
+            sink.value(*v);
+        }
+        for env in &self.env_stack {
             for f in env.frames() {
                 sink.frame(f);
             }
@@ -88,9 +132,9 @@ impl RootSource for SpawnRoots {
     }
 }
 
-impl ThreadCtx {
+impl<'s> ThreadCtx<'s> {
     /// Context for the main thread.
-    pub fn new_main(shared: Arc<Shared>) -> ThreadCtx {
+    pub fn new_main(shared: &'s Arc<Shared>) -> ThreadCtx<'s> {
         let mutator = shared.heap.register_mutator();
         let cell = shared.threads.spawn(None, tetra_runtime::ThreadKind::Main);
         ThreadCtx {
@@ -98,6 +142,8 @@ impl ThreadCtx {
             mutator,
             cell,
             env_stack: vec![Env::new()],
+            locals: Vec::new(),
+            private: None,
             temps: Vec::new(),
             held_locks: Vec::new(),
             call_depth: 0,
@@ -117,18 +163,20 @@ impl ThreadCtx {
     /// node at the spawn point, inherited as this thread's attribution
     /// root.
     pub fn new_child(
-        shared: Arc<Shared>,
+        shared: &'s Arc<Shared>,
         mutator: MutatorGuard,
         cell: Arc<ThreadCell>,
         env: Env,
         spawn_node: u32,
-    ) -> ThreadCtx {
+    ) -> ThreadCtx<'s> {
         shared.heap.exit_spawn_region(&mutator);
         ThreadCtx {
             shared,
             mutator,
             cell,
             env_stack: vec![env],
+            locals: Vec::new(),
+            private: None,
             temps: Vec::new(),
             held_locks: Vec::new(),
             call_depth: 0,
@@ -142,6 +190,46 @@ impl ThreadCtx {
         }
     }
 
+    /// Detach a `parallel for` worker between ranges (see [`Parked`]).
+    pub fn park(self) -> Parked {
+        debug_assert!(self.held_locks.is_empty() && self.call_depth == 0);
+        debug_assert!(self.locals.is_empty() && self.env_stack.len() == 1);
+        let env = self.env_stack.into_iter().next().expect("env stack never empty");
+        Parked {
+            mutator: self.mutator,
+            cell: self.cell,
+            env,
+            shadow_root: self.shadow_root,
+            span_start_ns: self.span_start_ns,
+            env_slot_hits: self.env_slot_hits,
+            env_dynamic_fallbacks: self.env_dynamic_fallbacks,
+            env_chain_depth_walked: self.env_chain_depth_walked,
+        }
+    }
+
+    /// Re-attach a parked worker; the inverse of [`ThreadCtx::park`]. Its
+    /// mutator stays in whatever GC region it was parked in.
+    pub fn unpark(shared: &'s Arc<Shared>, parked: Parked) -> ThreadCtx<'s> {
+        ThreadCtx {
+            shared,
+            mutator: parked.mutator,
+            cell: parked.cell,
+            env_stack: vec![parked.env],
+            locals: Vec::new(),
+            private: None,
+            temps: Vec::new(),
+            held_locks: Vec::new(),
+            call_depth: 0,
+            line: 0,
+            shadow: Vec::new(),
+            shadow_root: parked.shadow_root,
+            span_start_ns: parked.span_start_ns,
+            env_slot_hits: parked.env_slot_hits,
+            env_dynamic_fallbacks: parked.env_dynamic_fallbacks,
+            env_chain_depth_walked: parked.env_chain_depth_walked,
+        }
+    }
+
     /// The call-path node of the innermost user-function frame (or the
     /// spawn-site path for a thread that has not entered a function).
     #[inline]
@@ -149,12 +237,51 @@ impl ThreadCtx {
         self.shadow.last().copied().unwrap_or(self.shadow_root)
     }
 
+    /// The executing function's shared environment. A private frame has
+    /// none: every access in it is resolved, so nothing asks.
     pub fn current_env(&self) -> &Env {
+        debug_assert!(self.private.is_none(), "a private frame has no Env");
         self.env_stack.last().expect("env stack never empty")
     }
 
-    fn roots_view(&self) -> RootsView<'_> {
-        RootsView { temps: &self.temps, envs: &self.env_stack }
+    // ---- resolved variable access -------------------------------------------
+
+    /// Read the resolved variable `(up, slot)`; `None` while unbound.
+    #[inline]
+    pub fn read_var(&self, up: usize, slot: usize) -> Option<Value> {
+        match self.private {
+            Some(frame) => {
+                debug_assert_eq!(up, 0, "private frames resolve every access locally");
+                self.locals[frame.base + slot]
+            }
+            None => self.current_env().read_slot(up, slot),
+        }
+    }
+
+    /// Write the resolved variable `(up, slot)`; returns its race-detector
+    /// location.
+    #[inline]
+    pub fn write_var(&mut self, up: usize, slot: usize, value: Value) -> Loc {
+        match self.private {
+            Some(frame) => {
+                debug_assert_eq!(up, 0, "private frames resolve every access locally");
+                self.locals[frame.base + slot] = Some(value);
+                self.local_loc(frame.base + slot)
+            }
+            None => Loc::Frame(self.current_env().write_slot(up, slot, value), slot as u32),
+        }
+    }
+
+    /// The race-detector location of the resolved variable `(up, slot)`.
+    pub fn var_loc(&self, up: usize, slot: usize) -> Loc {
+        match self.private {
+            Some(frame) => self.local_loc(frame.base + slot),
+            None => Loc::Frame(self.current_env().frame_addr(up), slot as u32),
+        }
+    }
+
+    fn local_loc(&self, index: usize) -> Loc {
+        Loc::Local { thread: self.cell.id, index: index as u32 }
     }
 
     // ---- GC integration ---------------------------------------------------
@@ -166,16 +293,14 @@ impl ThreadCtx {
     pub fn poll_gc(&self) {
         if self.shared.heap.gc_pending() {
             self.cell.set_state(ThreadState::GcParked);
-            let view = self.roots_view();
-            self.shared.heap.poll(&self.mutator, &view);
+            self.shared.heap.poll(&self.mutator, self);
             self.cell.set_state(ThreadState::Running);
         }
     }
 
     /// Allocate a heap object with this thread's state as roots.
     pub fn alloc(&self, obj: Object) -> GcRef {
-        let view = self.roots_view();
-        self.shared.heap.alloc(&self.mutator, &view, obj)
+        self.shared.heap.alloc(&self.mutator, self, obj)
     }
 
     pub fn alloc_string(&self, s: impl Into<String>) -> Value {
@@ -184,8 +309,7 @@ impl ThreadCtx {
 
     /// Run a blocking operation inside a GC safe region.
     pub fn safe_region<T>(&self, f: impl FnOnce() -> T) -> T {
-        let view = self.roots_view();
-        self.shared.heap.safe_region(&self.mutator, &view, f)
+        self.shared.heap.safe_region(&self.mutator, self, f)
     }
 
     /// Publish this thread's roots and enter the idle safe region: called
@@ -194,8 +318,7 @@ impl ThreadCtx {
     /// stop the world. Must be paired with [`ThreadCtx::resume_idle`]
     /// before the context executes again.
     pub fn suspend_idle(&self) {
-        let view = self.roots_view();
-        self.shared.heap.enter_idle_region(&self.mutator, &view);
+        self.shared.heap.enter_idle_region(&self.mutator, self);
     }
 
     /// Leave the idle safe region (waiting out any in-progress collection
@@ -209,6 +332,16 @@ impl ThreadCtx {
         self.temps.push(v);
     }
 
+    /// Keep `v` alive across GC points until the matching
+    /// [`ThreadCtx::truncate_temps`]. Only a heap reference needs a root,
+    /// so a scalar operand costs no store.
+    #[inline]
+    pub fn root_temp(&mut self, v: Value) {
+        if let Value::Obj(_) = v {
+            self.temps.push(v);
+        }
+    }
+
     pub fn temp_mark(&self) -> usize {
         self.temps.len()
     }
@@ -219,14 +352,14 @@ impl ThreadCtx {
 
     // ---- errors ------------------------------------------------------------
 
-    pub fn err(&self, kind: ErrorKind, msg: impl Into<String>) -> RuntimeError {
-        RuntimeError::new(kind, msg, self.line)
+    pub fn err(&self, kind: ErrorKind, msg: impl Into<String>) -> Error {
+        Box::new(RuntimeError::new(kind, msg, self.line))
     }
 
     // ---- hook plumbing ------------------------------------------------------
 
     /// Per-statement prologue: line bookkeeping, GC safepoint, debug hook.
-    pub fn statement_prologue(&mut self, stmt: &Stmt) -> Result<(), RuntimeError> {
+    pub fn statement_prologue(&mut self, stmt: &Stmt) -> Result<(), Error> {
         self.line = stmt.span.line;
         self.cell.set_line(self.line);
         tetra_obs::stmt(self.cell.id, self.line, self.current_stack_node());
@@ -296,15 +429,39 @@ impl ThreadCtx {
     }
 }
 
-/// Lazy variable inspection handed to debug hooks.
-pub(crate) struct InspectView<'a>(pub &'a ThreadCtx);
+/// Lazy variable inspection handed to debug hooks. A private frame shows
+/// its bound slots under their layout names, as a shared frame would.
+pub(crate) struct InspectView<'a, 's>(pub &'a ThreadCtx<'s>);
 
-impl Inspect for InspectView<'_> {
+impl InspectView<'_, '_> {
+    /// The private frame's bound slots as (name, value), in slot order.
+    fn private_bindings<'a>(
+        &'a self,
+        frame: PrivateFrame<'a>,
+    ) -> impl Iterator<Item = (Symbol, Value)> + 'a {
+        let slots = &self.0.locals[frame.base..frame.base + frame.layout.len()];
+        frame.layout.names().iter().zip(slots).filter_map(|(name, v)| Some((*name, (*v)?)))
+    }
+}
+
+impl Inspect for InspectView<'_, '_> {
     fn lookup(&self, name: &str) -> Option<Value> {
-        self.0.current_env().get(name)
+        match self.0.private {
+            Some(frame) => {
+                let name = Symbol::intern(name);
+                self.private_bindings(frame).find(|(n, _)| *n == name).map(|(_, v)| v)
+            }
+            None => self.0.current_env().get(name),
+        }
     }
 
     fn locals(&self) -> Vec<(String, String)> {
+        if let Some(frame) = self.0.private {
+            let mut out: Vec<(String, String)> =
+                self.private_bindings(frame).map(|(n, v)| (n.to_string(), v.display())).collect();
+            out.sort_by(|a, b| a.0.cmp(&b.0));
+            return out;
+        }
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
         for frame in self.0.current_env().frames().iter().rev() {
@@ -319,6 +476,9 @@ impl Inspect for InspectView<'_> {
     }
 
     fn scope_depth(&self) -> usize {
-        self.0.current_env().depth()
+        match self.0.private {
+            Some(_) => 1,
+            None => self.0.current_env().depth(),
+        }
     }
 }

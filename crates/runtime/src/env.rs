@@ -44,9 +44,9 @@ impl SlotLayout {
     }
 
     /// The empty layout (dynamic-only frames).
-    pub fn empty() -> Arc<SlotLayout> {
+    pub fn empty() -> &'static Arc<SlotLayout> {
         static EMPTY: std::sync::OnceLock<Arc<SlotLayout>> = std::sync::OnceLock::new();
-        EMPTY.get_or_init(|| Arc::new(SlotLayout { names: Vec::new() })).clone()
+        EMPTY.get_or_init(|| Arc::new(SlotLayout { names: Vec::new() }))
     }
 
     /// Slot index of `name`, if the layout declares it. Linear scan: layouts
@@ -83,7 +83,7 @@ pub type FrameRef = Arc<Frame>;
 impl Frame {
     /// A dynamic-only frame (empty layout).
     pub fn new_ref() -> FrameRef {
-        Frame::with_layout(SlotLayout::empty())
+        Frame::with_layout(SlotLayout::empty().clone())
     }
 
     /// A frame shaped by a resolver-produced layout; every declared slot
@@ -257,7 +257,7 @@ impl Env {
     /// Push a fresh private dynamic frame. Returns the new chain as a child
     /// Env, leaving `self` untouched.
     pub fn with_private_frame(&self) -> Env {
-        self.with_private_layout(SlotLayout::empty())
+        self.with_private_layout(SlotLayout::empty().clone())
     }
 
     /// Push a fresh private frame shaped by `layout` (a parallel-for

@@ -30,6 +30,15 @@
 //! A single-frame chain (function level, outside any `parallel for`) is the
 //! common case and needs no such care: every walk can only land in the one
 //! frame, so all accesses resolve to its layout slot unconditionally.
+//!
+//! ## Thread-private functions
+//!
+//! Only `parallel:`, `background:` and `parallel for` hand a function frame
+//! to another thread. A function whose body contains none of them, at any
+//! nesting, and whose every access resolved to a slot of its own frame
+//! (`up == 0`) is **private**: no other thread can ever see its frame, so
+//! the interpreter keeps it in the calling thread's own slot stack instead
+//! of a shared, locked frame ([`Resolution::func_is_private`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,6 +56,8 @@ pub struct Resolution {
     coords: Vec<u32>,
     /// Frame layout per function, in declaration order.
     func_layouts: Vec<Arc<SlotLayout>>,
+    /// Per function, in declaration order: is its frame thread-private?
+    func_private: Vec<bool>,
     /// Worker-frame layout per `parallel for` statement (keyed by the
     /// statement's id). Slot 0 is always the induction variable.
     pfor_layouts: HashMap<NodeId, Arc<SlotLayout>>,
@@ -67,14 +78,23 @@ impl Resolution {
 
     /// The frame layout of function `func` (declaration index). Parameters
     /// occupy slots `0..params.len()` in order.
-    pub fn func_layout(&self, func: usize) -> Arc<SlotLayout> {
-        self.func_layouts.get(func).cloned().unwrap_or_else(SlotLayout::empty)
+    pub fn func_layout(&self, func: usize) -> &Arc<SlotLayout> {
+        self.func_layouts.get(func).unwrap_or_else(|| SlotLayout::empty())
+    }
+
+    /// Whether function `func`'s frame can never be seen by another thread:
+    /// its body spawns no thread (`parallel:`, `background:`, `parallel
+    /// for`) and every access in it resolved to a slot of its own frame.
+    /// Always false under [`Resolution::all_dynamic`].
+    #[inline]
+    pub fn func_is_private(&self, func: usize) -> bool {
+        self.func_private.get(func).copied().unwrap_or(false)
     }
 
     /// The worker-frame layout of a `parallel for` statement. Slot 0 is the
     /// induction variable.
-    pub fn pfor_layout(&self, stmt: NodeId) -> Arc<SlotLayout> {
-        self.pfor_layouts.get(&stmt).cloned().unwrap_or_else(SlotLayout::empty)
+    pub fn pfor_layout(&self, stmt: NodeId) -> &Arc<SlotLayout> {
+        self.pfor_layouts.get(&stmt).unwrap_or_else(|| SlotLayout::empty())
     }
 
     /// An all-dynamic resolution: every access takes the name-based path.
@@ -96,12 +116,15 @@ pub fn resolve(program: &Program) -> Resolution {
         scopes: Vec::new(),
         pfor_layouts: HashMap::new(),
         cond_depth: 0,
+        private: true,
     };
     let mut func_layouts = Vec::with_capacity(program.funcs.len());
+    let mut func_private = Vec::with_capacity(program.funcs.len());
     for f in &program.funcs {
         func_layouts.push(r.resolve_func(f));
+        func_private.push(r.private);
     }
-    Resolution { coords: r.coords, func_layouts, pfor_layouts: r.pfor_layouts }
+    Resolution { coords: r.coords, func_layouts, func_private, pfor_layouts: r.pfor_layouts }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,6 +155,10 @@ struct Resolver {
     scopes: Vec<Scope>,
     pfor_layouts: HashMap<NodeId, Arc<SlotLayout>>,
     cond_depth: u32,
+    /// The privacy verdict for the function being resolved: cleared by a
+    /// construct that spawns a thread, an access outside the function's own
+    /// frame, or an access left dynamic.
+    private: bool,
 }
 
 impl Resolver {
@@ -145,6 +172,7 @@ impl Resolver {
             // by slot; slot i == parameter i by construction.
         }
         self.cond_depth = 0;
+        self.private = true;
         self.scopes.push(scope);
         for (i, p) in f.params.iter().enumerate() {
             self.record(p.id, 0, i);
@@ -156,8 +184,18 @@ impl Resolver {
 
     fn record(&mut self, id: NodeId, up: usize, slot: usize) {
         debug_assert!(up < u16::MAX as usize && slot < u16::MAX as usize);
+        self.private &= up == 0;
         if let Some(c) = self.coords.get_mut(id.0 as usize) {
             *c = ((up as u32) << 16) | slot as u32;
+        }
+    }
+
+    /// Record a resolved access; an access left dynamic makes the
+    /// function shared (a private frame has no name-based fallback).
+    fn record_or_dynamic(&mut self, id: NodeId, coord: Option<(usize, usize)>) {
+        match coord {
+            Some((up, slot)) => self.record(id, up, slot),
+            None => self.private = false,
         }
     }
 
@@ -262,9 +300,7 @@ impl Resolver {
                         } else {
                             self.resolve_write(*name)
                         };
-                        if let Some((up, slot)) = coord {
-                            self.record(*id, up, slot);
-                        }
+                        self.record_or_dynamic(*id, coord);
                     }
                     Target::Index { base, index, .. } => {
                         self.expr(base);
@@ -293,9 +329,8 @@ impl Resolver {
                 // frame each iteration; it is definitely bound inside the
                 // body, but the loop may run zero times.
                 let prior = self.innermost().status.get(var).copied();
-                if let Some(slot) = self.innermost().slot_of(*var) {
-                    self.record(*var_id, 0, slot);
-                }
+                let coord = self.innermost().slot_of(*var).map(|slot| (0, slot));
+                self.record_or_dynamic(*var_id, coord);
                 self.innermost().status.insert(*var, Status::Definite);
                 self.conditional_block(body);
                 if prior != Some(Status::Definite) {
@@ -303,6 +338,7 @@ impl Resolver {
                 }
             }
             StmtKind::ParallelFor { var, var_id, iter, body } => {
+                self.private = false;
                 self.expr(iter);
                 // Worker frames hold the induction variable at slot 0 plus
                 // every name the body might define fresh. Unused slots stay
@@ -324,6 +360,7 @@ impl Resolver {
                 // Children share the frame but run concurrently: none of
                 // their writes can be treated as ordered before a sibling's
                 // reads, so everything they bind is only maybe-bound.
+                self.private = false;
                 self.conditional_block(body);
             }
             StmtKind::Lock { body, .. } => self.block(body),
@@ -345,9 +382,8 @@ impl Resolver {
                 // semantics (it may update an outer frame already binding
                 // the name), and only on the error path.
                 self.cond_depth += 1;
-                if let Some((up, slot)) = self.resolve_write(*err_name) {
-                    self.record(*err_id, up, slot);
-                }
+                let coord = self.resolve_write(*err_name);
+                self.record_or_dynamic(*err_id, coord);
                 self.block(handler);
                 self.cond_depth -= 1;
             }
@@ -357,9 +393,8 @@ impl Resolver {
     fn expr(&mut self, e: &Expr) {
         match &e.kind {
             ExprKind::Var(name) => {
-                if let Some((up, slot)) = self.resolve_read(*name) {
-                    self.record(e.id, up, slot);
-                }
+                let coord = self.resolve_read(*name);
+                self.record_or_dynamic(e.id, coord);
             }
             ExprKind::Int(_)
             | ExprKind::Real(_)
@@ -644,5 +679,78 @@ mod tests {
         assert_eq!(r.coord(NodeId(0)), None);
         assert_eq!(r.resolved_count(), 0);
         assert!(r.func_layout(3).is_empty());
+        assert!(r.pfor_layout(NodeId(7)).is_empty());
+        assert!(!r.func_is_private(0) && !r.func_is_private(3));
+    }
+
+    // ---- privacy verdict -------------------------------------------------
+
+    /// The privacy verdict of `f`, the first function of `src`.
+    fn f_is_private(src: &str) -> bool {
+        let (p, r) = resolve_src(src);
+        assert_eq!(p.funcs[0].name, "f");
+        r.func_is_private(0)
+    }
+
+    #[test]
+    fn a_spawning_construct_at_any_nesting_makes_a_function_shared() {
+        // Each spawner is written at the indentation `{i}` of its body.
+        let spawners = [
+            "parallel:\n{i}x = 1\n{i}y = 2",
+            "background:\n{i}x = 1",
+            "parallel for k in [1 ... 2]:\n{i}x = k",
+        ];
+        // Each wrapper places `{s}` at the given indentation.
+        let wrappers = [
+            ("{s}", 4),
+            ("if n > 0:\n        {s}", 8),
+            ("if n > 0:\n        pass\n    else:\n        {s}", 8),
+            ("while n > 0:\n        {s}", 8),
+            ("try:\n        {s}\n    catch e:\n        pass", 8),
+            ("try:\n        pass\n    catch e:\n        {s}", 8),
+            ("lock m:\n        {s}", 8),
+            ("for j in [1 ... 2]:\n        while n > 0:\n            {s}", 12),
+        ];
+        for (wrapper, indent) in wrappers {
+            for spawner in spawners {
+                let body = spawner.replace("{i}", &" ".repeat(indent + 4));
+                let stmt = wrapper.replace("{s}", &body);
+                let src = format!("def f(n int):\n    {stmt}\n\ndef main():\n    f(1)\n");
+                assert!(!f_is_private(&src), "must be shared:\n{src}");
+                // The same body without the spawner is private.
+                let plain = wrapper.replace("{s}", "x = n");
+                let src = format!("def f(n int):\n    {plain}\n\ndef main():\n    f(1)\n");
+                assert!(f_is_private(&src), "must be private:\n{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn recursive_scalar_function_is_private() {
+        let src = "\
+def f(x int) int:
+    if x == 0:
+        return 1
+    acc = x * f(x - 1)
+    for i in [1 ... 2]:
+        acc += i - i
+    try:
+        acc += 0
+    catch err:
+        print(err)
+    lock m:
+        acc += 0
+    return acc
+
+def main():
+    parallel:
+        print(f(5))
+        print(f(6))
+";
+        let (p, r) = resolve_src(src);
+        assert!(r.func_is_private(0), "f spawns nothing and resolves every access");
+        assert_eq!(p.funcs[1].name, "main");
+        assert!(!r.func_is_private(1), "main runs a parallel block");
+        assert!(!r.func_is_private(2), "no such function");
     }
 }
