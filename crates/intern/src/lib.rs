@@ -95,6 +95,13 @@ impl Symbol {
     pub fn index(self) -> u32 {
         self.0
     }
+
+    /// The symbol whose [`Symbol::index`] is `index`, if one was interned.
+    /// Lets a side table keep a symbol in an atomic word.
+    pub fn from_index(index: u32) -> Option<Symbol> {
+        let (chunk_no, offset) = locate(index);
+        interner().chunks[chunk_no].get()?[offset].get().map(|_| Symbol(index))
+    }
 }
 
 impl From<&str> for Symbol {
@@ -185,6 +192,13 @@ mod tests {
             assert_eq!(sym.as_str(), name.as_str());
             assert_eq!(*sym, Symbol::intern(name));
         }
+    }
+
+    #[test]
+    fn from_index_round_trips_interned_symbols_only() {
+        let s = Symbol::intern("from_index_probe");
+        assert_eq!(Symbol::from_index(s.index()), Some(s));
+        assert_eq!(Symbol::from_index(u32::MAX), None);
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl ThreadCtx<'_> {
                 self.truncate_temps(mark);
                 Ok(flow)
             }
-            StmtKind::Lock { name, body } => self.exec_lock(*name, body, stmt.span.line),
+            StmtKind::Lock { name, body } => self.exec_lock(stmt.id, *name, body),
             StmtKind::Parallel { body } => {
                 self.exec_parallel(body)?;
                 Ok(Flow::Normal)
@@ -306,22 +306,36 @@ impl ThreadCtx<'_> {
 
     // ---- parallel constructs ------------------------------------------------
 
-    fn exec_lock(&mut self, name: Symbol, body: &Block, line: u32) -> Result<Flow, Error> {
+    /// `lock name:` — the uncontended case is one compare-and-swap on the
+    /// lock's cell. Only a thread that must block publishes its state and
+    /// roots (a GC safe region) and enters the registry's slow path.
+    fn exec_lock(&mut self, stmt: NodeId, name: Symbol, body: &Block) -> Result<Flow, Error> {
         let tid = self.cell.id;
+        let line = self.line;
+        let shared = self.shared;
+        let lock = shared
+            .typed
+            .resolution
+            .lock_index(stmt)
+            .expect("the resolver indexes every lock statement");
         self.emit(ExecEvent::LockWait { id: tid, name, line });
-        self.cell.set_state(ThreadState::WaitingLock);
-        self.cell.set_waiting_lock(Some(name.to_string()));
-        let locks = self.shared.locks.clone();
         let stack_node = self.current_stack_node();
-        let acquired = self.safe_region(|| locks.acquire(tid, name.as_str(), line, stack_node));
-        self.cell.set_waiting_lock(None);
-        self.cell.set_state(ThreadState::Running);
-        acquired?;
+        if !shared.locks.try_acquire(tid, lock, line, stack_node)? {
+            // Name before state: a thread pane that sees `WaitingLock`
+            // also sees which lock.
+            self.cell.set_waiting_lock(Some(name));
+            self.cell.set_state(ThreadState::WaitingLock);
+            let acquired = self.safe_region(|| shared.locks.acquire(tid, lock, line, stack_node));
+            self.cell.set_state(ThreadState::Running);
+            self.cell.set_waiting_lock(None);
+            acquired?;
+        }
         self.emit(ExecEvent::LockAcquired { id: tid, name, line });
         self.held_locks.push(name);
+        let held = HeldLock { shared, tid, lock };
         let result = self.exec_block(body);
         self.held_locks.pop();
-        self.shared.locks.release(tid, name.as_str());
+        drop(held);
         self.emit(ExecEvent::LockReleased { id: tid, name });
         result
     }
@@ -543,6 +557,20 @@ impl ThreadCtx<'_> {
     }
 }
 
+/// A held named lock, released when dropped: a panicking `lock` body still
+/// frees the cell, so threads parked on it are not stranded.
+struct HeldLock<'s> {
+    shared: &'s Shared,
+    tid: u32,
+    lock: usize,
+}
+
+impl Drop for HeldLock<'_> {
+    fn drop(&mut self) {
+        self.shared.locks.release(self.tid, self.lock);
+    }
+}
+
 /// A pooled `parallel for`'s logical worker, parked between ranges.
 enum WorkerSlot {
     /// Registered with the GC and thread registry; no context built yet.
@@ -582,7 +610,10 @@ struct PforJob {
 }
 
 impl PforJob {
-    fn checkout(&self) -> ThreadCtx<'_> {
+    /// Check a logical worker out for one range; `None` once the loop is
+    /// cancelled while none is free (a range that panicked never checks
+    /// its worker back in, so waiting could last forever).
+    fn checkout(&self) -> Option<ThreadCtx<'_>> {
         let mut slots = self.slots.lock();
         loop {
             // Prefer the next slot in rotation (identity striping); settle
@@ -597,7 +628,7 @@ impl PforJob {
             if let Some(pos) = pos {
                 let slot = slots[pos].take().expect("position() found Some");
                 drop(slots);
-                return match slot {
+                return Some(match slot {
                     WorkerSlot::Ready(parked) => {
                         // The context idled in a GC safe region; leave it
                         // (waiting out any in-progress collection) before
@@ -609,7 +640,10 @@ impl PforJob {
                     WorkerSlot::Fresh { guard, cell, env } => {
                         ThreadCtx::new_child(&self.shared, guard, cell, env, self.spawn_node)
                     }
-                };
+                });
+            }
+            if self.cancelled.load(Ordering::Relaxed) {
+                return None;
             }
             self.available.wait(&mut slots);
         }
@@ -635,7 +669,10 @@ impl PforJob {
         if self.cancelled.load(Ordering::Relaxed) {
             return;
         }
-        let mut ctx = self.checkout();
+        let _unwind = CancelOnUnwind(self);
+        let Some(mut ctx) = self.checkout() else {
+            return;
+        };
         for i in lo..hi {
             if self.cancelled.load(Ordering::Relaxed) {
                 break;
@@ -656,5 +693,23 @@ impl PforJob {
             }
         }
         self.checkin(ctx);
+    }
+}
+
+/// Cancels a `parallel for` whose range is unwinding from a panic. The
+/// pool reports the panic once every range is done; until then later
+/// ranges must drain, and checkouts waiting for the lost worker must
+/// return. Setting the flag under the slots mutex means a checkout either
+/// sees it or is already asleep when the wake-up comes.
+struct CancelOnUnwind<'a>(&'a PforJob);
+
+impl Drop for CancelOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let slots = self.0.slots.lock();
+            self.0.cancelled.store(true, Ordering::Relaxed);
+            drop(slots);
+            self.0.available.notify_all();
+        }
     }
 }

@@ -91,7 +91,7 @@ pub struct Shared {
     pub typed: TypedProgram,
     pub config: InterpConfig,
     pub heap: Arc<Heap>,
-    pub locks: Arc<LockRegistry>,
+    pub locks: LockRegistry,
     pub threads: Arc<ThreadRegistry>,
     pub console: ConsoleRef,
     pub hook: Option<Arc<dyn DebugHook>>,
@@ -136,7 +136,7 @@ impl Interp {
         hook: Option<Arc<dyn DebugHook>>,
     ) -> Interp {
         let heap = Heap::new(config.gc.clone());
-        let locks = Arc::new(LockRegistry::new());
+        let locks = LockRegistry::with_names(typed.resolution.lock_names());
         locks.set_detection(config.detect_deadlocks);
         Interp {
             shared: Arc::new(Shared {
@@ -156,11 +156,6 @@ impl Interp {
     /// A snapshot of every Tetra thread (for the debugger/IDE thread pane).
     pub fn thread_snapshot(&self) -> Vec<ThreadSnapshot> {
         self.shared.threads.snapshot()
-    }
-
-    /// Shared lock registry (the debugger reads holders/waiters from it).
-    pub fn locks(&self) -> &Arc<LockRegistry> {
-        &self.shared.locks
     }
 
     /// Run `main()` to completion. Execution happens on a dedicated thread

@@ -4,7 +4,7 @@
 //! `parallel for` are executed twice by the tree-walking interpreter:
 //! once with the real [`Resolution`] from the type checker (identifier
 //! reads/writes go through `(frame, slot)` coordinates), and once with
-//! [`Resolution::all_dynamic()`] — the pre-resolver name-map walk, kept as
+//! [`Resolution::all_dynamic`] — the pre-resolver name-map walk, kept as
 //! the semantic oracle. The observable final state (every top-level
 //! variable printed at program end) must be identical.
 //!
@@ -169,7 +169,7 @@ proptest! {
         );
 
         let mut oracle = typed.clone();
-        oracle.resolution = Resolution::all_dynamic();
+        oracle.resolution = Resolution::all_dynamic(&typed.program);
 
         let fast = run_with(typed);
         let slow = run_with(oracle);

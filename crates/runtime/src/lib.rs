@@ -28,7 +28,7 @@ pub use console::{BufferConsole, Console, ConsoleRef, StdConsole};
 pub use env::{Env, Frame, FrameRef, SlotLayout};
 pub use error::{ErrorKind, RuntimeError};
 pub use heap::{GcStats, Heap, HeapConfig, MutatorGuard, NoRoots, RootSink, RootSource};
-pub use locks::{LockRegistry, LockRegistryRef};
+pub use locks::LockRegistry;
 pub use pool::{PoolPanic, PoolStats, WorkerPool};
 pub use threads::{ThreadCell, ThreadKind, ThreadRegistry, ThreadSnapshot, ThreadState};
 pub use value::{DictKey, GcRef, Object, Value};

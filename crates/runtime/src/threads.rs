@@ -10,6 +10,7 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use tetra_intern::Symbol;
 
 /// Start an OS thread of a run, named `name` with `stack_size` bytes of
 /// stack. The thread enters the observability session of the thread that
@@ -114,8 +115,9 @@ pub struct ThreadCell {
     pub kind: ThreadKind,
     line: AtomicU32,
     state: AtomicU8,
-    /// Lock name while in `WaitingLock` (debugger display).
-    waiting_lock: Mutex<Option<String>>,
+    /// The lock blocked on while in `WaitingLock`, as its symbol's index
+    /// plus one; 0 when none (debugger display).
+    waiting_lock: AtomicU32,
 }
 
 impl ThreadCell {
@@ -135,12 +137,13 @@ impl ThreadCell {
         ThreadState::from_u8(self.state.load(Ordering::Relaxed))
     }
 
-    pub fn set_waiting_lock(&self, name: Option<String>) {
-        *self.waiting_lock.lock() = name;
+    pub fn set_waiting_lock(&self, name: Option<Symbol>) {
+        self.waiting_lock.store(name.map_or(0, |s| s.index() + 1), Ordering::Relaxed);
     }
 
     pub fn waiting_lock(&self) -> Option<String> {
-        self.waiting_lock.lock().clone()
+        let raw = self.waiting_lock.load(Ordering::Relaxed);
+        Symbol::from_index(raw.checked_sub(1)?).map(|s| s.to_string())
     }
 }
 
@@ -197,7 +200,7 @@ impl ThreadRegistry {
             kind,
             line: AtomicU32::new(0),
             state: AtomicU8::new(ThreadState::Running.to_u8()),
-            waiting_lock: Mutex::new(None),
+            waiting_lock: AtomicU32::new(0),
         });
         self.cells.lock().push(Arc::clone(&cell));
         cell
@@ -268,7 +271,7 @@ mod tests {
         let t = reg.spawn(None, ThreadKind::Main);
         t.set_line(42);
         t.set_state(ThreadState::WaitingLock);
-        t.set_waiting_lock(Some("largest".into()));
+        t.set_waiting_lock(Some(Symbol::intern("largest")));
         let snap = &reg.snapshot()[0];
         assert_eq!(snap.line, 42);
         assert_eq!(snap.state, ThreadState::WaitingLock);

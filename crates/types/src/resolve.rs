@@ -39,6 +39,14 @@
 //! (`up == 0`) is **private**: no other thread can ever see its frame, so
 //! the interpreter keeps it in the calling thread's own slot stack instead
 //! of a shared, locked frame ([`Resolution::func_is_private`]).
+//!
+//! ## Lock names
+//!
+//! Lock names are lexical and live in their own namespace (paper §II), so
+//! the same pass numbers every distinct name densely in first-appearance
+//! order ([`Resolution::lock_names`]) and gives each `lock` statement its
+//! name's index ([`Resolution::lock_index`]). The interpreter's lock
+//! registry is one cell per index, built without another walk.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,6 +69,10 @@ pub struct Resolution {
     /// Worker-frame layout per `parallel for` statement (keyed by the
     /// statement's id). Slot 0 is always the induction variable.
     pfor_layouts: HashMap<NodeId, Arc<SlotLayout>>,
+    /// Every distinct lock name, by lock index.
+    lock_names: Vec<Symbol>,
+    /// `(lock statement id, lock index)`, sorted by statement id.
+    lock_stmts: Vec<(NodeId, u32)>,
 }
 
 impl Resolution {
@@ -97,10 +109,25 @@ impl Resolution {
         self.pfor_layouts.get(&stmt).unwrap_or_else(|| SlotLayout::empty())
     }
 
-    /// An all-dynamic resolution: every access takes the name-based path.
-    /// Used by the differential-test oracle and REPL-style evaluation.
-    pub fn all_dynamic() -> Resolution {
-        Resolution::default()
+    /// Every distinct lock name in the program, indexed by lock index.
+    pub fn lock_names(&self) -> &[Symbol] {
+        &self.lock_names
+    }
+
+    /// The lock index of a `lock` statement (keyed by the statement's id).
+    #[inline]
+    pub fn lock_index(&self, stmt: NodeId) -> Option<usize> {
+        let at = self.lock_stmts.binary_search_by_key(&stmt, |&(id, _)| id).ok()?;
+        Some(self.lock_stmts[at].1 as usize)
+    }
+
+    /// An all-dynamic resolution of `program`: every access takes the
+    /// name-based path. Lock indices are not coordinates and stay, so
+    /// both resolutions run the same lock registry. Used by the
+    /// differential-test oracle.
+    pub fn all_dynamic(program: &Program) -> Resolution {
+        let r = resolve(program);
+        Resolution { lock_names: r.lock_names, lock_stmts: r.lock_stmts, ..Resolution::default() }
     }
 
     /// How many identifier nodes carry a static coordinate (diagnostics).
@@ -117,6 +144,9 @@ pub fn resolve(program: &Program) -> Resolution {
         pfor_layouts: HashMap::new(),
         cond_depth: 0,
         private: true,
+        lock_ids: HashMap::new(),
+        lock_names: Vec::new(),
+        lock_stmts: Vec::new(),
     };
     let mut func_layouts = Vec::with_capacity(program.funcs.len());
     let mut func_private = Vec::with_capacity(program.funcs.len());
@@ -124,7 +154,15 @@ pub fn resolve(program: &Program) -> Resolution {
         func_layouts.push(r.resolve_func(f));
         func_private.push(r.private);
     }
-    Resolution { coords: r.coords, func_layouts, func_private, pfor_layouts: r.pfor_layouts }
+    r.lock_stmts.sort_unstable();
+    Resolution {
+        coords: r.coords,
+        func_layouts,
+        func_private,
+        pfor_layouts: r.pfor_layouts,
+        lock_names: r.lock_names,
+        lock_stmts: r.lock_stmts,
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +197,10 @@ struct Resolver {
     /// construct that spawns a thread, an access outside the function's own
     /// frame, or an access left dynamic.
     private: bool,
+    /// Lock name → lock index.
+    lock_ids: HashMap<Symbol, u32>,
+    lock_names: Vec<Symbol>,
+    lock_stmts: Vec<(NodeId, u32)>,
 }
 
 impl Resolver {
@@ -363,7 +405,15 @@ impl Resolver {
                 self.private = false;
                 self.conditional_block(body);
             }
-            StmtKind::Lock { body, .. } => self.block(body),
+            StmtKind::Lock { name, body } => {
+                let next = self.lock_names.len() as u32;
+                let index = *self.lock_ids.entry(*name).or_insert(next);
+                if index == next {
+                    self.lock_names.push(*name);
+                }
+                self.lock_stmts.push((s.id, index));
+                self.block(body);
+            }
             StmtKind::Return(e) => {
                 if let Some(e) = e {
                     self.expr(e);
@@ -675,12 +725,75 @@ mod tests {
 
     #[test]
     fn all_dynamic_resolution_resolves_nothing() {
-        let r = Resolution::all_dynamic();
+        let (p, _) = resolve_src("def main():\n    x = 1\n    print(x)\n");
+        let r = Resolution::all_dynamic(&p);
         assert_eq!(r.coord(NodeId(0)), None);
         assert_eq!(r.resolved_count(), 0);
         assert!(r.func_layout(3).is_empty());
         assert!(r.pfor_layout(NodeId(7)).is_empty());
         assert!(!r.func_is_private(0) && !r.func_is_private(3));
+    }
+
+    /// The ids of every `lock` statement in `b`, in source order.
+    fn lock_stmt_ids(b: &Block, out: &mut Vec<NodeId>) {
+        for s in &b.stmts {
+            match &s.kind {
+                StmtKind::Lock { body, .. } => {
+                    out.push(s.id);
+                    lock_stmt_ids(body, out);
+                }
+                StmtKind::If { then, elifs, els, .. } => {
+                    lock_stmt_ids(then, out);
+                    elifs.iter().for_each(|(_, b)| lock_stmt_ids(b, out));
+                    if let Some(b) = els {
+                        lock_stmt_ids(b, out);
+                    }
+                }
+                StmtKind::While { body, .. }
+                | StmtKind::For { body, .. }
+                | StmtKind::ParallelFor { body, .. }
+                | StmtKind::Parallel { body }
+                | StmtKind::Background { body } => lock_stmt_ids(body, out),
+                StmtKind::Try { body, handler, .. } => {
+                    lock_stmt_ids(body, out);
+                    lock_stmt_ids(handler, out);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn lock_names_get_dense_indices_per_distinct_name() {
+        let src = "\
+def f():
+    lock b:
+        lock a:
+            pass
+
+def main():
+    lock a:
+        parallel for i in [1 ... 2]:
+            lock c:
+                pass
+    if true:
+        lock b:
+            pass
+    f()
+";
+        let (p, r) = resolve_src(src);
+        let names: Vec<&str> = r.lock_names().iter().map(|s| s.as_str()).collect();
+        assert_eq!(names, ["b", "a", "c"], "first-appearance order");
+        let mut ids = Vec::new();
+        lock_stmt_ids(&p.funcs[0].body, &mut ids);
+        lock_stmt_ids(&p.funcs[1].body, &mut ids);
+        let indices: Vec<Option<usize>> = ids.iter().map(|id| r.lock_index(*id)).collect();
+        assert_eq!(indices, [Some(0), Some(1), Some(1), Some(2), Some(0)]);
+        assert_eq!(r.lock_index(p.funcs[1].body.stmts[1].id), None, "an `if` is no lock");
+        // The all-dynamic resolution keeps the lock table.
+        let d = Resolution::all_dynamic(&p);
+        assert_eq!(d.lock_names(), r.lock_names());
+        assert!(ids.iter().all(|id| d.lock_index(*id) == r.lock_index(*id)));
     }
 
     // ---- privacy verdict -------------------------------------------------
