@@ -24,9 +24,20 @@ mod debug_cli;
 
 use std::process::ExitCode;
 
+/// Stack for the thread that runs a command. The front end and the VM
+/// compiler recurse once per level of an expression, and the parser admits
+/// expression trees 8,000 levels deep: in an unoptimized build that needs
+/// more than the process main thread's stack.
+const COMMAND_STACK_SIZE: usize = 64 * 1024 * 1024;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&args) {
+    let command = std::thread::Builder::new()
+        .name("tetra".to_string())
+        .stack_size(COMMAND_STACK_SIZE)
+        .spawn(move || commands::dispatch(&args))
+        .expect("could not start the command thread");
+    match command.join().expect("the command thread panicked") {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");

@@ -208,3 +208,45 @@ fn gc_stats_reports_phases_and_allocator_counters() {
     assert!(err.contains("segment refills"), "allocator counters missing: {err}");
     let _ = std::fs::remove_file(path);
 }
+
+/// A program printing one left-associative chain of `terms` operands:
+/// `1 + 1 + …`, `true and true and …` or `"a"[0][0]…`.
+fn chain_program(op: &str, terms: usize) -> String {
+    let chain = match op {
+        "+" => vec!["1"; terms].join(" + "),
+        "and" => vec!["true"; terms].join(" and "),
+        _ => format!("\"a\"{}", "[0]".repeat(terms - 1)),
+    };
+    format!("def main():\n    x = {chain}\n    print(x)\n")
+}
+
+#[test]
+fn long_operator_chains_run_through_every_stage() {
+    for (op, printed) in [("+", "5000\n"), ("and", "true\n"), ("[0]", "a\n")] {
+        let path = write_temp("chain-ok", &chain_program(op, 5000));
+        for cmd in ["ast", "check", "run", "sim"] {
+            let out = tetra().arg(cmd).arg(&path).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "`{op}` × 5000, tetra {cmd}: {err}");
+            if cmd == "run" || cmd == "sim" {
+                assert!(String::from_utf8_lossy(&out.stdout).starts_with(printed), "{op} {cmd}");
+            }
+        }
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn chains_past_the_depth_limit_get_a_diagnostic_not_an_abort() {
+    for op in ["+", "and", "[0]"] {
+        let path = write_temp("chain-deep", &chain_program(op, 20_000));
+        for cmd in ["ast", "check", "run", "sim"] {
+            let out = tetra().arg(cmd).arg(&path).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "`{op}` × 20000, tetra {cmd}: {err}");
+            assert!(err.contains("expression is nested more than 8000 levels deep"), "{err}");
+            assert!(err.contains("break the expression into intermediate variables"), "{err}");
+        }
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -37,29 +37,15 @@ impl ThreadCtx<'_> {
             ExprKind::None => Ok(Value::None),
             ExprKind::Str(s) => Ok(self.alloc_string(s.clone())),
             ExprKind::Var(name) => {
-                // Hot path: the resolver assigned this access a static
-                // (frame, slot) coordinate — no hashing, no chain walk.
-                if let Some((up, slot)) = self.shared.typed.resolution.coord(e.id) {
-                    self.env_slot_hits += 1;
-                    return match self.read_var(up, slot) {
-                        Some(v) => {
-                            if self.shared.hook.is_some() {
-                                self.emit_read(self.var_loc(up, slot), *name);
-                            }
-                            Ok(v)
+                // The resolver gave this access a static (frame, slot)
+                // coordinate: no hashing, no chain walk.
+                let (up, slot) = self.shared.typed.resolution.coord(e.id);
+                self.env_slot_hits += 1;
+                match self.read_var(up, slot) {
+                    Some(v) => {
+                        if self.shared.hook.is_some() {
+                            self.emit_read(self.var_loc(up, slot), *name);
                         }
-                        None => Err(self.err(
-                            ErrorKind::UndefinedVariable,
-                            format!("variable `{name}` was read before any assignment"),
-                        )),
-                    };
-                }
-                self.env_dynamic_fallbacks += 1;
-                let (found, walked) = self.current_env().get_located_walked(*name);
-                self.env_chain_depth_walked += walked;
-                match found {
-                    Some((v, frame, slot)) => {
-                        self.emit_read(Loc::Frame(frame, slot as u32), *name);
                         Ok(v)
                     }
                     None => Err(self.err(
@@ -216,16 +202,10 @@ impl ThreadCtx<'_> {
         let result = match self.shared.typed.callees.get(&e.id).copied() {
             Some(Callee::User(idx)) => self.call_user(idx, &arg_values),
             Some(Callee::Builtin(b)) => self.call_builtin(b, &arg_values),
-            // Reachable only when running unchecked ASTs (tests); resolve
-            // dynamically with the same shadowing rule.
-            None => match self.shared.typed.program.func_index(callee.as_str()) {
-                Some(idx) => self.call_user(idx, &arg_values),
-                None => match Builtin::lookup(callee.as_str()) {
-                    Some(b) => self.call_builtin(b, &arg_values),
-                    None => Err(self
-                        .err(ErrorKind::UndefinedFunction, format!("unknown function `{callee}`"))),
-                },
-            },
+            None => Err(self.err(
+                ErrorKind::UndefinedFunction,
+                format!("internal error: the call of `{callee}` has no checked callee"),
+            )),
         };
         self.truncate_temps(mark);
         result
@@ -257,22 +237,11 @@ impl ThreadCtx<'_> {
             }
             self.private = Some(PrivateFrame { base, layout });
         } else {
-            let env = if layout.len() >= func.params.len() {
-                // Resolved layout: parameters occupy the leading slots.
-                let env = Env::new_with_layout(layout.clone());
-                let frame = env.innermost();
-                for (i, (p, v)) in func.params.iter().zip(args).enumerate() {
-                    frame.set_slot(i, ops::widen_to(&p.ty, *v));
-                }
-                env
-            } else {
-                // All-dynamic resolution (oracle/REPL): bind by name.
-                let env = Env::new();
-                for (p, v) in func.params.iter().zip(args) {
-                    env.define(p.name, ops::widen_to(&p.ty, *v));
-                }
-                env
-            };
+            let env = Env::new_with_layout(layout.clone());
+            let frame = env.innermost();
+            for (i, (p, v)) in func.params.iter().zip(args).enumerate() {
+                frame.set_slot(i, ops::widen_to(&p.ty, *v));
+            }
             self.env_stack.push(env);
             self.private = None;
         }

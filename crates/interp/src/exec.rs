@@ -12,7 +12,7 @@
 //! tables), register with the GC *before* the OS thread starts (so a
 //! collection can never miss them), and block inside GC safe regions.
 
-use crate::hooks::{ExecEvent, Loc};
+use crate::hooks::ExecEvent;
 use crate::thread::{Error, Parked, SpawnRoots, ThreadCtx, THREAD_STACK_SIZE};
 use crate::Shared;
 
@@ -104,24 +104,17 @@ impl ThreadCtx<'_> {
                 }
                 Ok(Flow::Normal)
             }
-            StmtKind::For { var, var_id, iter, body } => {
+            StmtKind::For { var_id, iter, body, .. } => {
                 let items = self.eval_iterable(iter)?;
                 // Keep the container (temps) rooted for the loop's duration.
                 let mark = self.temp_mark();
                 for v in &items {
                     self.push_temp(*v);
                 }
-                let coord = self.shared.typed.resolution.coord(*var_id);
+                let (up, slot) = self.shared.typed.resolution.coord(*var_id);
                 let mut flow = Flow::Normal;
                 for item in items {
-                    match coord {
-                        Some((up, slot)) => {
-                            self.write_var(up, slot, item);
-                        }
-                        None => {
-                            self.current_env().define(*var, item);
-                        }
-                    }
+                    self.write_var(up, slot, item);
                     match self.exec_block(body)? {
                         Flow::Break => break,
                         Flow::Continue | Flow::Normal => {}
@@ -143,12 +136,12 @@ impl ThreadCtx<'_> {
                 self.exec_background(body)?;
                 Ok(Flow::Normal)
             }
-            StmtKind::ParallelFor { var, iter, body, .. } => {
+            StmtKind::ParallelFor { iter, body, .. } => {
                 let items = self.eval_iterable(iter)?;
-                self.exec_parallel_for(*var, stmt.id, items, body)?;
+                self.exec_parallel_for(stmt.id, items, body)?;
                 Ok(Flow::Normal)
             }
-            StmtKind::Try { body, err_name, err_id, handler } => {
+            StmtKind::Try { body, err_id, handler, .. } => {
                 match self.exec_block(body) {
                     Ok(flow) => Ok(flow),
                     // A debugger cancellation must tear the program down.
@@ -157,14 +150,8 @@ impl ThreadCtx<'_> {
                         // Bind the message and run the handler. Errors from
                         // spawned threads arrive here through their join.
                         let msg = self.alloc_string(e.message.clone());
-                        match self.shared.typed.resolution.coord(*err_id) {
-                            Some((up, slot)) => {
-                                self.write_var(up, slot, msg);
-                            }
-                            None => {
-                                self.current_env().set(*err_name, msg);
-                            }
-                        }
+                        let (up, slot) = self.shared.typed.resolution.coord(*err_id);
+                        self.write_var(up, slot, msg);
                         self.exec_block(handler)
                     }
                 }
@@ -207,37 +194,8 @@ impl ThreadCtx<'_> {
     fn exec_assign(&mut self, target: &Target, op: AssignOp, value: &Expr) -> Result<(), Error> {
         match target {
             Target::Name { name, id, .. } => {
-                if let Some((up, slot)) = self.shared.typed.resolution.coord(*id) {
-                    return self.assign_slot(*name, up, slot, op, value);
-                }
-                self.env_dynamic_fallbacks += 1;
-                // Dynamic fallback: resolve the name once; the compound read
-                // and the write go through the same located frame.
-                let (found, walked) = self.current_env().get_located_walked(*name);
-                self.env_chain_depth_walked += walked;
-                let new = match op.binop() {
-                    None => self.eval(value)?,
-                    Some(binop) => {
-                        let (current, _, _) = found.ok_or_else(|| {
-                            self.err(
-                                ErrorKind::UndefinedVariable,
-                                format!("variable `{name}` was read before any assignment"),
-                            )
-                        })?;
-                        let mark = self.temp_mark();
-                        self.push_temp(current);
-                        let rhs = self.eval(value)?;
-                        self.push_temp(rhs);
-                        let out = self.apply_binop(binop, current, rhs);
-                        self.truncate_temps(mark);
-                        out?
-                    }
-                };
-                // Keep runtime reals real when the checker said so.
-                let new = tetra_stdlib::ops::widen_like(found.map(|(v, _, _)| v), new);
-                let (frame, slot) = self.current_env().set_located(*name, new);
-                self.emit_write(Loc::Frame(frame, slot as u32), *name);
-                Ok(())
+                let (up, slot) = self.shared.typed.resolution.coord(*id);
+                self.assign_slot(*name, up, slot, op, value)
             }
             Target::Index { base, index, .. } => {
                 let mark = self.temp_mark();
@@ -438,7 +396,6 @@ impl ThreadCtx<'_> {
     /// race detector, flame) no matter which pool thread runs it.
     fn exec_parallel_for(
         &mut self,
-        var: Symbol,
         stmt_id: NodeId,
         items: Vec<Value>,
         body: &Block,
@@ -451,9 +408,8 @@ impl ThreadCtx<'_> {
         let frames = self.current_env().frames().to_vec();
         let spawn_node = self.current_stack_node();
         // The resolver's worker-frame layout puts the induction variable at
-        // slot 0; an empty layout means all-dynamic resolution.
+        // slot 0.
         let layout = self.shared.typed.resolution.pfor_layout(stmt_id);
-        let use_slots = !layout.is_empty();
         // Root the snapshot in the parent for the whole loop: no per-worker
         // item copies, and the ranges below are plain indices.
         let mark = self.temp_mark();
@@ -478,8 +434,6 @@ impl ThreadCtx<'_> {
             shared: self.shared.clone(),
             body: Arc::new(body.clone()),
             items: Arc::new(items),
-            var,
-            use_slots,
             spawn_node,
             slots: Mutex::new(slots),
             next_slot: AtomicUsize::new(0),
@@ -537,12 +491,10 @@ impl ThreadCtx<'_> {
     /// Mark the thread finished and emit its end event.
     pub fn finish_thread(&mut self) {
         self.cell.set_state(ThreadState::Finished);
-        // Flush this thread's environment-access counters in one shot; the
-        // hot paths only bump plain fields.
+        // Flush this thread's environment-access counter in one shot; the
+        // hot paths only bump a plain field.
         if tetra_obs::metrics_enabled() {
             tetra_obs::metrics::counter_add("env.slot_hits", self.env_slot_hits);
-            tetra_obs::metrics::counter_add("env.dynamic_fallbacks", self.env_dynamic_fallbacks);
-            tetra_obs::metrics::counter_add("env.chain_depth_walked", self.env_chain_depth_walked);
         }
         if tetra_obs::enabled() {
             let name = match self.cell.kind {
@@ -589,8 +541,6 @@ struct PforJob {
     shared: Arc<Shared>,
     body: Arc<Block>,
     items: Arc<Vec<Value>>,
-    var: Symbol,
-    use_slots: bool,
     spawn_node: u32,
     /// `worker_threads` slots; executors check one out per range. With the
     /// parent helping there can be `workers + 1` concurrent executors, so
@@ -677,12 +627,7 @@ impl PforJob {
             if self.cancelled.load(Ordering::Relaxed) {
                 break;
             }
-            let item = self.items[i];
-            if self.use_slots {
-                ctx.current_env().write_slot(0, 0, item);
-            } else {
-                ctx.current_env().define(self.var, item);
-            }
+            ctx.current_env().write_slot(0, 0, self.items[i]);
             if let Err(e) = ctx.exec_block(&self.body) {
                 let mut err = self.error.lock();
                 if err.is_none() {

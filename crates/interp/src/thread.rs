@@ -46,7 +46,8 @@ pub(crate) struct ThreadCtx<'s> {
     pub mutator: MutatorGuard,
     pub cell: Arc<ThreadCell>,
     /// Call stack of shared environments; last is the innermost shared
-    /// function's (private frames live in `locals`).
+    /// function's (private frames live in `locals`). A spawned thread
+    /// starts with its parent's; the main thread starts with none.
     pub env_stack: Vec<Env>,
     /// Slots of this thread's private function frames, innermost last.
     pub locals: Vec<Option<Value>>,
@@ -69,12 +70,8 @@ pub(crate) struct ThreadCtx<'s> {
     pub shadow_root: u32,
     /// Trace timestamp of this thread's start (0 when tracing is off).
     pub span_start_ns: u64,
-    /// Variable accesses served by a static (frame, slot) coordinate.
+    /// Variable accesses, each served by a static (frame, slot) coordinate.
     pub env_slot_hits: u64,
-    /// Variable accesses that fell back to the name-based chain walk.
-    pub env_dynamic_fallbacks: u64,
-    /// Total frames visited by those fallback walks.
-    pub env_chain_depth_walked: u64,
 }
 
 /// A private function frame: `layout.len()` slots of `locals` from `base`.
@@ -95,8 +92,6 @@ pub(crate) struct Parked {
     shadow_root: u32,
     span_start_ns: u64,
     env_slot_hits: u64,
-    env_dynamic_fallbacks: u64,
-    env_chain_depth_walked: u64,
 }
 
 /// A thread's GC roots: its temporaries, its private frames' slots and its
@@ -141,7 +136,7 @@ impl<'s> ThreadCtx<'s> {
             shared,
             mutator,
             cell,
-            env_stack: vec![Env::new()],
+            env_stack: Vec::new(),
             locals: Vec::new(),
             private: None,
             temps: Vec::new(),
@@ -152,8 +147,6 @@ impl<'s> ThreadCtx<'s> {
             shadow_root: tetra_obs::stack::ROOT,
             span_start_ns: tetra_obs::now_ns(),
             env_slot_hits: 0,
-            env_dynamic_fallbacks: 0,
-            env_chain_depth_walked: 0,
         }
     }
 
@@ -185,8 +178,6 @@ impl<'s> ThreadCtx<'s> {
             shadow_root: spawn_node,
             span_start_ns: tetra_obs::now_ns(),
             env_slot_hits: 0,
-            env_dynamic_fallbacks: 0,
-            env_chain_depth_walked: 0,
         }
     }
 
@@ -202,8 +193,6 @@ impl<'s> ThreadCtx<'s> {
             shadow_root: self.shadow_root,
             span_start_ns: self.span_start_ns,
             env_slot_hits: self.env_slot_hits,
-            env_dynamic_fallbacks: self.env_dynamic_fallbacks,
-            env_chain_depth_walked: self.env_chain_depth_walked,
         }
     }
 
@@ -225,8 +214,6 @@ impl<'s> ThreadCtx<'s> {
             shadow_root: parked.shadow_root,
             span_start_ns: parked.span_start_ns,
             env_slot_hits: parked.env_slot_hits,
-            env_dynamic_fallbacks: parked.env_dynamic_fallbacks,
-            env_chain_depth_walked: parked.env_chain_depth_walked,
         }
     }
 
@@ -238,10 +225,10 @@ impl<'s> ThreadCtx<'s> {
     }
 
     /// The executing function's shared environment. A private frame has
-    /// none: every access in it is resolved, so nothing asks.
+    /// none, and nothing asks for it there.
     pub fn current_env(&self) -> &Env {
         debug_assert!(self.private.is_none(), "a private frame has no Env");
-        self.env_stack.last().expect("env stack never empty")
+        self.env_stack.last().expect("a shared frame is executing")
     }
 
     // ---- resolved variable access -------------------------------------------

@@ -1,21 +1,18 @@
-//! Differential testing of the resolver's slot-addressed execution path.
+//! Differential testing of the resolver's static binding rule.
 //!
 //! Random programs heavy on shadowing, conditional assignment and
-//! `parallel for` are executed twice by the tree-walking interpreter:
-//! once with the real [`Resolution`] from the type checker (identifier
-//! reads/writes go through `(frame, slot)` coordinates), and once with
-//! [`Resolution::all_dynamic`] — the pre-resolver name-map walk, kept as
-//! the semantic oracle. The observable final state (every top-level
-//! variable printed at program end) must be identical.
+//! `parallel for` run under both engines: the tree-walking interpreter,
+//! whose every variable access goes through the resolver's `(frame, slot)`
+//! coordinates, and the bytecode VM, whose compiler binds names by the same
+//! text-order rule. The observable final state (every top-level variable
+//! printed at program end) must be identical.
 //!
 //! Generated parallelism is deterministic by construction: workers write
 //! only worker-private names, plus a single shared accumulator updated
 //! commutatively (`acc = acc + …`) under a lock.
 
 use proptest::prelude::*;
-use tetra_interp::{Interp, InterpConfig};
-use tetra_runtime::BufferConsole;
-use tetra_types::Resolution;
+use tetra::Tetra;
 
 /// Variables assigned at the top of every generated program.
 const VARS: [&str; 4] = ["a", "b", "c", "d"];
@@ -82,8 +79,8 @@ impl<'c> Gen<'c> {
                 let e = self.expr(&[]);
                 self.line(indent, &format!("{v} = {v} + ({e})"));
             }
-            // Conditional assignment: names become Maybe-bound afterwards,
-            // forcing the dynamic fallback on later uses.
+            // Conditional assignment: the name is bound by the text, not
+            // by whether the branch runs.
             2 if depth < 2 => {
                 let v = self.var();
                 let w = self.var();
@@ -144,38 +141,70 @@ fn gen_program(choices: &[u8]) -> String {
     g.src
 }
 
-fn run_with(typed: tetra_types::TypedProgram) -> String {
-    let console = BufferConsole::new();
-    let interp = Interp::new(typed, InterpConfig::default(), console.clone());
-    interp.run().expect("generated program must run cleanly");
-    console.output()
+/// Both engines' common output for `src`.
+fn run_both(src: &str) -> String {
+    let p = Tetra::compile(src).unwrap_or_else(|e| panic!("failed to compile:\n{src}\n{e}"));
+    p.run_both(&[]).unwrap_or_else(|e| panic!("{e}\nfor:\n{src}"))
+}
+
+/// A name assigned on only one branch before a `parallel for` is the
+/// function's, whether or not the branch ran: the body's write is shared.
+#[test]
+fn a_conditionally_assigned_name_is_shared_with_a_later_parallel_for() {
+    let src = "\
+def pick(n int) int:
+    if n > 5:
+        x = 100
+    parallel for i in [1 ... 4]:
+        x = 7
+    return x
+
+def main():
+    print(pick(9))
+    print(pick(1))
+";
+    assert_eq!(run_both(src), "7\n7\n");
+}
+
+/// A name a `parallel:` arm may assign is the function's: a later
+/// `parallel for` writes it, and the one after that reads the write.
+#[test]
+fn a_parallel_bound_name_is_read_inside_a_later_parallel_for() {
+    let src = "\
+def g(n int) int:
+    parallel:
+        if n > 0:
+            x = n
+        y = 1
+    parallel for i in [1 ... 2]:
+        x = 5
+    parallel for i in [1 ... 4]:
+        lock m:
+            y = y + x
+    return y
+
+def main():
+    print(g(1))
+    print(g(0))
+";
+    assert_eq!(run_both(src), "21\n21\n");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn slot_resolved_execution_matches_name_map_oracle(
+    fn interpreter_slots_match_the_vm(
         choices in prop::collection::vec(0u8..=255u8, 4..64)
     ) {
         let src = gen_program(&choices);
-        let program = tetra_parser::parse(&src)
-            .unwrap_or_else(|d| panic!("generated program failed to parse:\n{src}\n{d}"));
-        let typed = tetra_types::check(program)
-            .unwrap_or_else(|d| panic!("generated program failed to check:\n{src}\n{d:?}"));
+        let p = Tetra::compile(&src)
+            .unwrap_or_else(|e| panic!("generated program failed to compile:\n{src}\n{e}"));
         prop_assert!(
-            typed.resolution.resolved_count() > 0,
-            "resolver assigned no coordinates — the fast path is not exercised:\n{src}"
+            p.typed().resolution.resolved_count() > 0,
+            "resolver assigned no coordinates:\n{src}"
         );
-
-        let mut oracle = typed.clone();
-        oracle.resolution = Resolution::all_dynamic(&typed.program);
-
-        let fast = run_with(typed);
-        let slow = run_with(oracle);
-        prop_assert_eq!(
-            fast, slow,
-            "slot-resolved and name-map executions diverged for:\n{}", src
-        );
+        let both = p.run_both(&[]);
+        prop_assert!(both.is_ok(), "engines disagree: {}\nfor:\n{}", both.unwrap_err(), src);
     }
 }

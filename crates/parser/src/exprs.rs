@@ -25,15 +25,27 @@ use tetra_lexer::{Diagnostic, Stage, TokenKind};
 /// being far beyond human code.
 const MAX_EXPR_DEPTH: u32 = 48;
 
+/// Maximum depth of the expression tree the parser builds. The parser
+/// reads a left-associative chain such as `1 + 1 + … + 1` or `s[0][0]…`
+/// in a loop, but the tree it builds is as deep as the chain is long, and
+/// every later pass (checker, resolver, folder, compiler, both engines,
+/// `Drop`) recurses once per level.
+pub(crate) const MAX_TREE_DEPTH: u32 = 8_000;
+
+/// The diagnostic for an expression past either limit.
+fn too_deep(limit: u32, span: tetra_lexer::Span) -> Diagnostic {
+    Diagnostic::new(
+        Stage::Parse,
+        format!("expression is nested more than {limit} levels deep"),
+        span,
+    )
+    .with_help("break the expression into intermediate variables")
+}
+
 impl Parser {
     pub(crate) fn expr(&mut self) -> Result<Expr, Diagnostic> {
         if self.expr_depth >= MAX_EXPR_DEPTH {
-            return Err(Diagnostic::new(
-                Stage::Parse,
-                format!("expression is nested more than {MAX_EXPR_DEPTH} levels deep"),
-                self.peek_span(),
-            )
-            .with_help("break the expression into intermediate variables"));
+            return Err(too_deep(MAX_EXPR_DEPTH, self.peek_span()));
         }
         self.expr_depth += 1;
         let result = self.or_expr();
@@ -41,8 +53,42 @@ impl Parser {
         result
     }
 
-    fn mk(&mut self, kind: ExprKind, span: tetra_lexer::Span) -> Expr {
-        Expr { kind, span, id: self.fresh() }
+    /// Build an expression node one level deeper than its deepest child.
+    /// Past the limit, the diagnostic points at the token that completed
+    /// the node: in a long chain, the operand that went one level too deep.
+    fn mk(&mut self, kind: ExprKind, span: tetra_lexer::Span) -> Result<Expr, Diagnostic> {
+        let depth = 1 + self.child_depth(&kind);
+        if depth > MAX_TREE_DEPTH {
+            return Err(too_deep(MAX_TREE_DEPTH, self.prev_span()));
+        }
+        let id = self.fresh();
+        let at = id.0 as usize;
+        if self.tree_depths.len() <= at {
+            self.tree_depths.resize(at + 1, 0);
+        }
+        self.tree_depths[at] = depth;
+        Ok(Expr { kind, span, id })
+    }
+
+    /// The tree depth of the deepest direct child of `kind`.
+    fn child_depth(&self, kind: &ExprKind) -> u32 {
+        let d = |e: &Expr| self.tree_depths[e.id.0 as usize];
+        match kind {
+            ExprKind::Int(_)
+            | ExprKind::Real(_)
+            | ExprKind::Str(_)
+            | ExprKind::Bool(_)
+            | ExprKind::None
+            | ExprKind::Var(_) => 0,
+            ExprKind::Unary { operand, .. } => d(operand),
+            ExprKind::Binary { lhs: a, rhs: b, .. }
+            | ExprKind::Index { base: a, index: b }
+            | ExprKind::Range { lo: a, hi: b } => d(a).max(d(b)),
+            ExprKind::Call { args: items, .. }
+            | ExprKind::Array(items)
+            | ExprKind::Tuple(items) => items.iter().map(d).max().unwrap_or(0),
+            ExprKind::Dict(pairs) => pairs.iter().map(|(k, v)| d(k).max(d(v))).max().unwrap_or(0),
+        }
     }
 
     fn or_expr(&mut self) -> Result<Expr, Diagnostic> {
@@ -54,7 +100,7 @@ impl Parser {
             lhs = self.mk(
                 ExprKind::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) },
                 span,
-            );
+            )?;
         }
         Ok(lhs)
     }
@@ -68,7 +114,7 @@ impl Parser {
             lhs = self.mk(
                 ExprKind::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) },
                 span,
-            );
+            )?;
         }
         Ok(lhs)
     }
@@ -80,17 +126,13 @@ impl Parser {
             self.expr_depth += 1;
             if self.expr_depth >= MAX_EXPR_DEPTH {
                 self.expr_depth -= 1;
-                return Err(Diagnostic::new(
-                    Stage::Parse,
-                    format!("expression is nested more than {MAX_EXPR_DEPTH} levels deep"),
-                    start,
-                ));
+                return Err(too_deep(MAX_EXPR_DEPTH, start));
             }
             let operand = self.not_expr();
             self.expr_depth -= 1;
             let operand = operand?;
             let span = start.to(operand.span);
-            return Ok(self.mk(ExprKind::Unary { op: UnOp::Not, operand: Box::new(operand) }, span));
+            return self.mk(ExprKind::Unary { op: UnOp::Not, operand: Box::new(operand) }, span);
         }
         self.comparison()
     }
@@ -129,7 +171,7 @@ impl Parser {
             .with_help("write `a < b and b < c` instead of `a < b < c`"));
         }
         let span = lhs.span.to(rhs.span);
-        Ok(self.mk(ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, span))
+        self.mk(ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, span)
     }
 
     fn additive(&mut self) -> Result<Expr, Diagnostic> {
@@ -143,7 +185,7 @@ impl Parser {
             self.bump();
             let rhs = self.multiplicative()?;
             let span = lhs.span.to(rhs.span);
-            lhs = self.mk(ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, span);
+            lhs = self.mk(ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, span)?;
         }
         Ok(lhs)
     }
@@ -160,7 +202,7 @@ impl Parser {
             self.bump();
             let rhs = self.unary()?;
             let span = lhs.span.to(rhs.span);
-            lhs = self.mk(ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, span);
+            lhs = self.mk(ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, span)?;
         }
         Ok(lhs)
     }
@@ -172,17 +214,13 @@ impl Parser {
             self.expr_depth += 1;
             if self.expr_depth >= MAX_EXPR_DEPTH {
                 self.expr_depth -= 1;
-                return Err(Diagnostic::new(
-                    Stage::Parse,
-                    format!("expression is nested more than {MAX_EXPR_DEPTH} levels deep"),
-                    start,
-                ));
+                return Err(too_deep(MAX_EXPR_DEPTH, start));
             }
             let operand = self.unary();
             self.expr_depth -= 1;
             let operand = operand?;
             let span = start.to(operand.span);
-            return Ok(self.mk(ExprKind::Unary { op: UnOp::Neg, operand: Box::new(operand) }, span));
+            return self.mk(ExprKind::Unary { op: UnOp::Neg, operand: Box::new(operand) }, span);
         }
         self.postfix()
     }
@@ -195,7 +233,7 @@ impl Parser {
                 let index = self.expr()?;
                 let rb = self.expect(&TokenKind::RBracket)?;
                 let span = e.span.to(rb.span);
-                e = self.mk(ExprKind::Index { base: Box::new(e), index: Box::new(index) }, span);
+                e = self.mk(ExprKind::Index { base: Box::new(e), index: Box::new(index) }, span)?;
             } else {
                 break;
             }
@@ -208,23 +246,23 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(self.mk(ExprKind::Int(v), span))
+                self.mk(ExprKind::Int(v), span)
             }
             TokenKind::Real(v) => {
                 self.bump();
-                Ok(self.mk(ExprKind::Real(v), span))
+                self.mk(ExprKind::Real(v), span)
             }
             TokenKind::Str(s) => {
                 self.bump();
-                Ok(self.mk(ExprKind::Str(s), span))
+                self.mk(ExprKind::Str(s), span)
             }
             TokenKind::Bool(v) => {
                 self.bump();
-                Ok(self.mk(ExprKind::Bool(v), span))
+                self.mk(ExprKind::Bool(v), span)
             }
             TokenKind::None => {
                 self.bump();
-                Ok(self.mk(ExprKind::None, span))
+                self.mk(ExprKind::None, span)
             }
             // Type keywords in call position are the conversion builtins:
             // `int("42")`, `real(n)`, `string` has `str(...)` instead.
@@ -250,7 +288,7 @@ impl Parser {
                 }
                 let rp = self.expect(&TokenKind::RParen)?;
                 let cspan = span.to(rp.span);
-                Ok(self.mk(ExprKind::Call { callee: Symbol::intern(callee), args }, cspan))
+                self.mk(ExprKind::Call { callee: Symbol::intern(callee), args }, cspan)
             }
             TokenKind::Ident(name) => {
                 self.bump();
@@ -267,9 +305,9 @@ impl Parser {
                     }
                     let rp = self.expect(&TokenKind::RParen)?;
                     let cspan = span.to(rp.span);
-                    Ok(self.mk(ExprKind::Call { callee: name, args }, cspan))
+                    self.mk(ExprKind::Call { callee: name, args }, cspan)
                 } else {
-                    Ok(self.mk(ExprKind::Var(name), span))
+                    self.mk(ExprKind::Var(name), span)
                 }
             }
             TokenKind::LParen => {
@@ -295,7 +333,7 @@ impl Parser {
                             tspan,
                         ));
                     }
-                    Ok(self.mk(ExprKind::Tuple(items), tspan))
+                    self.mk(ExprKind::Tuple(items), tspan)
                 } else {
                     self.expect(&TokenKind::RParen)?;
                     Ok(first)
@@ -305,7 +343,7 @@ impl Parser {
                 self.bump();
                 if self.at(&TokenKind::RBracket) {
                     let rb = self.bump();
-                    return Ok(self.mk(ExprKind::Array(vec![]), span.to(rb.span)));
+                    return self.mk(ExprKind::Array(vec![]), span.to(rb.span));
                 }
                 let first = self.expr()?;
                 if self.eat(&TokenKind::Ellipsis) {
@@ -313,9 +351,8 @@ impl Parser {
                     let hi = self.expr()?;
                     let rb = self.expect(&TokenKind::RBracket)?;
                     let rspan = span.to(rb.span);
-                    return Ok(
-                        self.mk(ExprKind::Range { lo: Box::new(first), hi: Box::new(hi) }, rspan)
-                    );
+                    return self
+                        .mk(ExprKind::Range { lo: Box::new(first), hi: Box::new(hi) }, rspan);
                 }
                 let mut items = vec![first];
                 while self.eat(&TokenKind::Comma) {
@@ -325,7 +362,7 @@ impl Parser {
                     items.push(self.expr()?);
                 }
                 let rb = self.expect(&TokenKind::RBracket)?;
-                Ok(self.mk(ExprKind::Array(items), span.to(rb.span)))
+                self.mk(ExprKind::Array(items), span.to(rb.span))
             }
             TokenKind::LBrace => {
                 self.bump();
@@ -345,7 +382,7 @@ impl Parser {
                     }
                 }
                 let rb = self.expect(&TokenKind::RBrace)?;
-                Ok(self.mk(ExprKind::Dict(pairs), span.to(rb.span)))
+                self.mk(ExprKind::Dict(pairs), span.to(rb.span))
             }
             other => Err(self.error(format!("expected an expression, found {}", other.describe()))),
         }

@@ -21,11 +21,13 @@ pub(crate) struct Parser {
     next_id: u32,
     block_depth: u32,
     pub(crate) expr_depth: u32,
+    /// Tree depth of every expression node built so far, by node id.
+    pub(crate) tree_depths: Vec<u32>,
 }
 
 impl Parser {
     pub(crate) fn new(toks: Vec<Token>) -> Self {
-        Parser { toks, pos: 0, next_id: 0, block_depth: 0, expr_depth: 0 }
+        Parser { toks, pos: 0, next_id: 0, block_depth: 0, expr_depth: 0, tree_depths: Vec::new() }
     }
 
     // ---- token cursor -----------------------------------------------------
@@ -36,6 +38,11 @@ impl Parser {
 
     pub(crate) fn peek_span(&self) -> Span {
         self.toks[self.pos].span
+    }
+
+    /// The span of the last token consumed.
+    pub(crate) fn prev_span(&self) -> Span {
+        self.toks[self.pos.saturating_sub(1)].span
     }
 
     pub(crate) fn bump(&mut self) -> Token {

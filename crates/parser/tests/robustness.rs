@@ -127,6 +127,41 @@ fn deeply_nested_expressions_hit_the_limit_not_the_stack() {
     assert!(err.message.contains("nested more than"), "{err}");
 }
 
+/// A left-associative chain is parsed in a loop, but the tree it builds is
+/// as deep as the chain is long: the parser bounds that depth exactly, for
+/// every chaining operator and for postfix indexing.
+#[test]
+fn operator_chains_hit_the_tree_depth_limit_not_the_stack() {
+    // Building and dropping an 8,000-level tree takes more than a test
+    // thread's default stack in an unoptimized build.
+    let check = || {
+        let program = |x: &str| format!("def main():\n    x = {x}\n");
+        let too_deep = |src: &str| {
+            let err = tetra_parser::parse(src).unwrap_err();
+            assert!(err.message.contains("nested more than 8000 levels deep"), "{err}");
+            assert_eq!(
+                err.help.as_deref(),
+                Some("break the expression into intermediate variables")
+            );
+        };
+        for (op, leaf) in
+            [(" + ", "1"), (" - ", "1"), (" * ", "2"), (" and ", "true"), (" or ", "false")]
+        {
+            // n operands make a tree n levels deep.
+            assert!(tetra_parser::parse(&program(&vec![leaf; 8000].join(op))).is_ok(), "{op}");
+            too_deep(&program(&vec![leaf; 8001].join(op)));
+        }
+        let index = |n: usize| program(&format!("\"a\"{}", "[0]".repeat(n)));
+        assert!(tetra_parser::parse(&index(7999)).is_ok());
+        too_deep(&index(8000));
+        // Depth adds up through parentheses.
+        too_deep(&program(&format!("1 + ({})", vec!["1"; 8000].join(" + "))));
+        assert!(tetra_parser::parse(&program(&format!("1 + ({})", vec!["1"; 7999].join(" + "))))
+            .is_ok());
+    };
+    std::thread::Builder::new().stack_size(64 << 20).spawn(check).unwrap().join().unwrap();
+}
+
 #[test]
 fn pathological_but_valid_inputs() {
     // A very long single line.

@@ -913,7 +913,8 @@ impl Drop for MutatorGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::Frame;
+    use crate::env::{Frame, SlotLayout};
+    use tetra_intern::Symbol;
 
     fn test_heap(stress: bool) -> Arc<Heap> {
         Heap::new(HeapConfig {
@@ -998,9 +999,9 @@ mod tests {
     fn frames_root_their_contents() {
         let heap = test_heap(false);
         let m = heap.register_mutator();
-        let frame = Frame::new_ref();
+        let frame = Frame::with_layout(SlotLayout::new(vec![Symbol::intern("x")]));
         let v = heap.alloc_str(&m, &NoRoots, "framed");
-        frame.set("x", v);
+        frame.set_slot(0, v);
         struct FrameRoots(FrameRef);
         impl RootSource for FrameRoots {
             fn roots(&self, sink: &mut RootSink) {

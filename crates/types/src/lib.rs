@@ -13,7 +13,7 @@ mod check;
 pub mod resolve;
 
 pub use check::{check, Callee, TypedProgram};
-pub use resolve::{Resolution, DYNAMIC};
+pub use resolve::Resolution;
 
 #[cfg(test)]
 mod tests {

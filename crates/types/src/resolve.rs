@@ -1,44 +1,41 @@
 //! Resolution pass: assigns every identifier a `(frame_depth, slot)`
-//! coordinate so the execution engines can replace name-hashing chain walks
-//! with direct indexed loads and stores.
+//! coordinate so the execution engines read and write variables by index,
+//! with no name hashing and no chain walk.
 //!
 //! ## Scope model
 //!
 //! Tetra has exactly two kinds of scope at runtime:
 //!
-//! * the **function frame** — parameters plus every name assigned at
-//!   function level. `parallel:` and `background:` bodies introduce *no*
-//!   scope: children share the parent's frame (paper §IV).
+//! * the **function frame** — parameters plus the names the function body
+//!   binds. `parallel:` and `background:` bodies introduce *no* scope:
+//!   children share the parent's frame (paper §IV).
 //! * a **`parallel for` worker frame** — each worker pushes a private frame
-//!   holding its copy of the induction variable plus any names the body
-//!   defines fresh.
+//!   holding its copy of the induction variable plus the names the body
+//!   binds fresh.
 //!
-//! ## Soundness against the dynamic semantics
+//! ## The binding rule
 //!
-//! The interpreter's dynamic rule is: *reads* walk innermost → outermost and
-//! stop at the first frame that binds the name; *assignments* update the
-//! innermost frame that already binds the name, else define in the innermost
-//! frame. "Binds" is a runtime property — a name is bound only once an
-//! assignment actually executed. The resolver therefore tracks, per scope
-//! and per program point, whether a name is **definitely** bound, **maybe**
-//! bound (only on some control-flow paths: `if` branches, loop bodies,
-//! `parallel` children, `catch` handlers), or **never** bound. An access
-//! resolves to the first scope (innermost out) whose status is *definite*;
-//! if the walk meets a *maybe* first, the coordinate stays dynamic and the
-//! engines fall back to the name-based walk, which is always correct.
+//! Binding is static and follows the program text, as in the bytecode
+//! compiler (`tetra-vm`'s `compile.rs`), so both engines agree on every
+//! program. An access binds to the innermost scope that holds the name
+//! earlier in the text: a parameter, an assignment target, a loop variable
+//! or a `catch` name. A name no enclosing scope holds yet is bound in the
+//! innermost scope (the worker frame inside a `parallel for` body, the
+//! function frame elsewhere), where it stays visible to later accesses.
+//! A sequential `for` variable always binds in the innermost scope, so a
+//! `for v` in a worker body never writes an outer `v`.
 //!
-//! A single-frame chain (function level, outside any `parallel for`) is the
-//! common case and needs no such care: every walk can only land in the one
-//! frame, so all accesses resolve to its layout slot unconditionally.
+//! Whether a name is *assigned* at runtime is a separate matter: a slot
+//! holds nothing until its first write, and reading it before then is the
+//! "read before any assignment" error in both engines.
 //!
 //! ## Thread-private functions
 //!
 //! Only `parallel:`, `background:` and `parallel for` hand a function frame
 //! to another thread. A function whose body contains none of them, at any
-//! nesting, and whose every access resolved to a slot of its own frame
-//! (`up == 0`) is **private**: no other thread can ever see its frame, so
-//! the interpreter keeps it in the calling thread's own slot stack instead
-//! of a shared, locked frame ([`Resolution::func_is_private`]).
+//! nesting, is **private**: no other thread can ever see its frame, so the
+//! interpreter keeps it in the calling thread's own slot stack instead of a
+//! shared, locked frame ([`Resolution::func_is_private`]).
 //!
 //! ## Lock names
 //!
@@ -54,13 +51,13 @@ use tetra_ast::{Block, Expr, ExprKind, FuncDef, NodeId, Program, Stmt, StmtKind,
 use tetra_intern::Symbol;
 use tetra_runtime::SlotLayout;
 
-/// Coordinate sentinel: identifier must use the dynamic name-based path.
-pub const DYNAMIC: u32 = u32::MAX;
+/// Coordinate of a node that is no variable access.
+const NO_COORD: u32 = u32::MAX;
 
 /// Per-program resolution results, keyed by [`NodeId`].
 #[derive(Debug, Clone, Default)]
 pub struct Resolution {
-    /// `(up << 16) | slot` per node id; [`DYNAMIC`] when unresolved.
+    /// `(up << 16) | slot` per node id; [`NO_COORD`] for other nodes.
     coords: Vec<u32>,
     /// Frame layout per function, in declaration order.
     func_layouts: Vec<Arc<SlotLayout>>,
@@ -76,16 +73,14 @@ pub struct Resolution {
 }
 
 impl Resolution {
-    /// The `(frames_up, slot)` coordinate of an identifier node, or `None`
-    /// when the access must take the dynamic fallback.
+    /// The `(frames_up, slot)` coordinate of a variable access: a `Var`
+    /// expression, a name assignment target, a loop variable, a `catch`
+    /// name or a parameter. Every access in a checked program has one.
     #[inline]
-    pub fn coord(&self, id: NodeId) -> Option<(usize, usize)> {
-        let c = self.coords.get(id.0 as usize).copied().unwrap_or(DYNAMIC);
-        if c == DYNAMIC {
-            None
-        } else {
-            Some(((c >> 16) as usize, (c & 0xFFFF) as usize))
-        }
+    pub fn coord(&self, id: NodeId) -> (usize, usize) {
+        let c = self.coords[id.0 as usize];
+        debug_assert_ne!(c, NO_COORD, "node {id:?} is no variable access");
+        ((c >> 16) as usize, (c & 0xFFFF) as usize)
     }
 
     /// The frame layout of function `func` (declaration index). Parameters
@@ -96,8 +91,7 @@ impl Resolution {
 
     /// Whether function `func`'s frame can never be seen by another thread:
     /// its body spawns no thread (`parallel:`, `background:`, `parallel
-    /// for`) and every access in it resolved to a slot of its own frame.
-    /// Always false under [`Resolution::all_dynamic`].
+    /// for`).
     #[inline]
     pub fn func_is_private(&self, func: usize) -> bool {
         self.func_private.get(func).copied().unwrap_or(false)
@@ -121,28 +115,18 @@ impl Resolution {
         Some(self.lock_stmts[at].1 as usize)
     }
 
-    /// An all-dynamic resolution of `program`: every access takes the
-    /// name-based path. Lock indices are not coordinates and stay, so
-    /// both resolutions run the same lock registry. Used by the
-    /// differential-test oracle.
-    pub fn all_dynamic(program: &Program) -> Resolution {
-        let r = resolve(program);
-        Resolution { lock_names: r.lock_names, lock_stmts: r.lock_stmts, ..Resolution::default() }
-    }
-
-    /// How many identifier nodes carry a static coordinate (diagnostics).
+    /// How many nodes carry a coordinate (diagnostics).
     pub fn resolved_count(&self) -> usize {
-        self.coords.iter().filter(|c| **c != DYNAMIC).count()
+        self.coords.iter().filter(|c| **c != NO_COORD).count()
     }
 }
 
 /// Run the resolution pass over a type-checked program.
 pub fn resolve(program: &Program) -> Resolution {
     let mut r = Resolver {
-        coords: vec![DYNAMIC; program.node_count as usize],
+        coords: vec![NO_COORD; program.node_count as usize],
         scopes: Vec::new(),
         pfor_layouts: HashMap::new(),
-        cond_depth: 0,
         private: true,
         lock_ids: HashMap::new(),
         lock_names: Vec::new(),
@@ -165,37 +149,14 @@ pub fn resolve(program: &Program) -> Resolution {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    /// Bound on every path reaching this program point.
-    Definite,
-    /// Bound on some paths only.
-    Maybe,
-}
-
-struct Scope {
-    names: Vec<Symbol>,
-    status: HashMap<Symbol, Status>,
-    /// `cond_depth` at scope entry; writes made deeper than this are only
-    /// maybe-executed from the scope's point of view.
-    base_depth: u32,
-}
-
-impl Scope {
-    fn slot_of(&self, name: Symbol) -> Option<usize> {
-        self.names.iter().position(|n| *n == name)
-    }
-}
-
 struct Resolver {
     coords: Vec<u32>,
-    /// Innermost scope last.
-    scopes: Vec<Scope>,
+    /// The names each open scope holds so far, in slot order: the frame
+    /// layout under construction. Innermost scope last.
+    scopes: Vec<Vec<Symbol>>,
     pfor_layouts: HashMap<NodeId, Arc<SlotLayout>>,
-    cond_depth: u32,
     /// The privacy verdict for the function being resolved: cleared by a
-    /// construct that spawns a thread, an access outside the function's own
-    /// frame, or an access left dynamic.
+    /// construct that spawns a thread.
     private: bool,
     /// Lock name → lock index.
     lock_ids: HashMap<Symbol, u32>,
@@ -205,109 +166,41 @@ struct Resolver {
 
 impl Resolver {
     fn resolve_func(&mut self, f: &FuncDef) -> Arc<SlotLayout> {
-        let mut names: Vec<Symbol> = f.params.iter().map(|p| p.name).collect();
-        collect_assigned(&f.body, &mut names);
-        let mut scope = Scope { names, status: HashMap::new(), base_depth: 0 };
-        for p in &f.params {
-            scope.status.insert(p.name, Status::Definite);
-            // Parameters also get coordinates so engines can bind arguments
-            // by slot; slot i == parameter i by construction.
-        }
-        self.cond_depth = 0;
         self.private = true;
-        self.scopes.push(scope);
-        for (i, p) in f.params.iter().enumerate() {
-            self.record(p.id, 0, i);
+        // Parameters also get coordinates so engines can bind arguments by
+        // slot; slot i == parameter i by construction.
+        self.scopes.push(Vec::with_capacity(f.params.len()));
+        for p in &f.params {
+            self.bind_local(p.id, p.name);
         }
         self.block(&f.body);
-        let scope = self.scopes.pop().expect("function scope");
-        SlotLayout::new(scope.names)
+        SlotLayout::new(self.scopes.pop().expect("function scope"))
+    }
+
+    /// Bind an access to the innermost scope holding `name`, else to a new
+    /// slot of the innermost scope.
+    fn bind(&mut self, id: NodeId, name: Symbol) {
+        for (up, scope) in self.scopes.iter().rev().enumerate() {
+            if let Some(slot) = scope.iter().position(|n| *n == name) {
+                return self.record(id, up, slot);
+            }
+        }
+        self.bind_local(id, name);
+    }
+
+    /// Bind an access to the innermost scope, adding `name` to it if new.
+    fn bind_local(&mut self, id: NodeId, name: Symbol) {
+        let scope = self.scopes.last_mut().expect("at least one scope");
+        let slot = scope.iter().position(|n| *n == name).unwrap_or_else(|| {
+            scope.push(name);
+            scope.len() - 1
+        });
+        self.record(id, 0, slot);
     }
 
     fn record(&mut self, id: NodeId, up: usize, slot: usize) {
         debug_assert!(up < u16::MAX as usize && slot < u16::MAX as usize);
-        self.private &= up == 0;
-        if let Some(c) = self.coords.get_mut(id.0 as usize) {
-            *c = ((up as u32) << 16) | slot as u32;
-        }
-    }
-
-    /// Record a resolved access; an access left dynamic makes the
-    /// function shared (a private frame has no name-based fallback).
-    fn record_or_dynamic(&mut self, id: NodeId, coord: Option<(usize, usize)>) {
-        match coord {
-            Some((up, slot)) => self.record(id, up, slot),
-            None => self.private = false,
-        }
-    }
-
-    fn innermost(&mut self) -> &mut Scope {
-        self.scopes.last_mut().expect("at least one scope")
-    }
-
-    /// Mark `name` as written in scope `up` frames out, respecting the
-    /// current conditional depth.
-    fn mark_written(&mut self, up: usize, name: Symbol) {
-        let cond_depth = self.cond_depth;
-        let idx = self.scopes.len() - 1 - up;
-        let scope = &mut self.scopes[idx];
-        let definite = cond_depth == scope.base_depth;
-        let entry = scope.status.entry(name).or_insert(if definite {
-            Status::Definite
-        } else {
-            Status::Maybe
-        });
-        if definite {
-            *entry = Status::Definite;
-        }
-    }
-
-    /// Resolve a read: first scope (innermost out) definitely binding the
-    /// name; dynamic if a maybe-bound scope intervenes or nothing binds it.
-    fn resolve_read(&self, name: Symbol) -> Option<(usize, usize)> {
-        if self.scopes.len() == 1 {
-            // Single-frame chain: every walk lands here; a missing slot
-            // means the dynamic path errors too, via the same fallback.
-            return self.scopes[0].slot_of(name).map(|s| (0, s));
-        }
-        for (up, scope) in self.scopes.iter().rev().enumerate() {
-            match scope.status.get(&name) {
-                Some(Status::Definite) => return scope.slot_of(name).map(|s| (up, s)),
-                Some(Status::Maybe) => return None,
-                None => continue,
-            }
-        }
-        None
-    }
-
-    /// Resolve a plain assignment: like a read walk, but a name bound
-    /// nowhere defines a fresh slot in the innermost scope.
-    fn resolve_write(&mut self, name: Symbol) -> Option<(usize, usize)> {
-        if self.scopes.len() == 1 {
-            let coord = self.scopes[0].slot_of(name).map(|s| (0, s));
-            if coord.is_some() {
-                self.mark_written(0, name);
-            }
-            return coord;
-        }
-        for (up, scope) in self.scopes.iter().rev().enumerate() {
-            match scope.status.get(&name) {
-                Some(Status::Definite) => {
-                    let coord = scope.slot_of(name).map(|s| (up, s));
-                    if coord.is_some() {
-                        self.mark_written(up, name);
-                    }
-                    return coord;
-                }
-                Some(Status::Maybe) => return None,
-                None => continue,
-            }
-        }
-        let coord = self.innermost().slot_of(name).map(|s| (0, s));
-        if coord.is_some() {
-            self.mark_written(0, name);
-        }
-        coord
+        self.coords[id.0 as usize] = ((up as u32) << 16) | slot as u32;
     }
 
     fn block(&mut self, b: &Block) {
@@ -316,34 +209,13 @@ impl Resolver {
         }
     }
 
-    fn conditional_block(&mut self, b: &Block) {
-        self.cond_depth += 1;
-        self.block(b);
-        self.cond_depth -= 1;
-    }
-
     fn stmt(&mut self, s: &Stmt) {
         match &s.kind {
             StmtKind::Expr(e) => self.expr(e),
-            StmtKind::Assign { target, op, value } => {
+            StmtKind::Assign { target, value, .. } => {
                 self.expr(value);
                 match target {
-                    Target::Name { name, id, .. } => {
-                        // A compound assignment reads before it writes, so
-                        // the name must already be definitely bound; the
-                        // read walk and the write walk then agree on the
-                        // frame. A plain `=` may also define fresh.
-                        let coord = if op.binop().is_some() {
-                            let c = self.resolve_read(*name);
-                            if let Some((up, _)) = c {
-                                self.mark_written(up, *name);
-                            }
-                            c
-                        } else {
-                            self.resolve_write(*name)
-                        };
-                        self.record_or_dynamic(*id, coord);
-                    }
+                    Target::Name { name, id, .. } => self.bind(*id, *name),
                     Target::Index { base, index, .. } => {
                         self.expr(base);
                         self.expr(index);
@@ -352,58 +224,36 @@ impl Resolver {
             }
             StmtKind::If { cond, then, elifs, els } => {
                 self.expr(cond);
-                self.conditional_block(then);
+                self.block(then);
                 for (c, b) in elifs {
                     self.expr(c);
-                    self.conditional_block(b);
+                    self.block(b);
                 }
                 if let Some(b) = els {
-                    self.conditional_block(b);
+                    self.block(b);
                 }
             }
             StmtKind::While { cond, body } => {
                 self.expr(cond);
-                self.conditional_block(body);
+                self.block(body);
             }
             StmtKind::For { var, var_id, iter, body } => {
                 self.expr(iter);
-                // The induction variable is (re)defined in the innermost
-                // frame each iteration; it is definitely bound inside the
-                // body, but the loop may run zero times.
-                let prior = self.innermost().status.get(var).copied();
-                let coord = self.innermost().slot_of(*var).map(|slot| (0, slot));
-                self.record_or_dynamic(*var_id, coord);
-                self.innermost().status.insert(*var, Status::Definite);
-                self.conditional_block(body);
-                if prior != Some(Status::Definite) {
-                    self.innermost().status.insert(*var, Status::Maybe);
-                }
+                self.bind_local(*var_id, *var);
+                self.block(body);
             }
             StmtKind::ParallelFor { var, var_id, iter, body } => {
                 self.private = false;
                 self.expr(iter);
-                // Worker frames hold the induction variable at slot 0 plus
-                // every name the body might define fresh. Unused slots stay
-                // unbound and cost nothing.
-                let mut names = vec![*var];
-                collect_assigned(body, &mut names);
-                self.record(*var_id, 0, 0);
-                self.cond_depth += 1;
-                let mut scope =
-                    Scope { names, status: HashMap::new(), base_depth: self.cond_depth };
-                scope.status.insert(*var, Status::Definite);
-                self.scopes.push(scope);
+                self.scopes.push(Vec::new());
+                self.bind_local(*var_id, *var);
                 self.block(body);
-                let scope = self.scopes.pop().expect("pfor scope");
-                self.cond_depth -= 1;
-                self.pfor_layouts.insert(s.id, SlotLayout::new(scope.names));
+                let names = self.scopes.pop().expect("pfor scope");
+                self.pfor_layouts.insert(s.id, SlotLayout::new(names));
             }
             StmtKind::Parallel { body } | StmtKind::Background { body } => {
-                // Children share the frame but run concurrently: none of
-                // their writes can be treated as ordered before a sibling's
-                // reads, so everything they bind is only maybe-bound.
                 self.private = false;
-                self.conditional_block(body);
+                self.block(body);
             }
             StmtKind::Lock { name, body } => {
                 let next = self.lock_names.len() as u32;
@@ -427,25 +277,16 @@ impl Resolver {
                 }
             }
             StmtKind::Try { body, err_name, err_id, handler } => {
-                self.conditional_block(body);
-                // The handler binds the error message with *assignment*
-                // semantics (it may update an outer frame already binding
-                // the name), and only on the error path.
-                self.cond_depth += 1;
-                let coord = self.resolve_write(*err_name);
-                self.record_or_dynamic(*err_id, coord);
+                self.block(body);
+                self.bind(*err_id, *err_name);
                 self.block(handler);
-                self.cond_depth -= 1;
             }
         }
     }
 
     fn expr(&mut self, e: &Expr) {
         match &e.kind {
-            ExprKind::Var(name) => {
-                let coord = self.resolve_read(*name);
-                self.record_or_dynamic(e.id, coord);
-            }
+            ExprKind::Var(name) => self.bind(e.id, *name),
             ExprKind::Int(_)
             | ExprKind::Real(_)
             | ExprKind::Str(_)
@@ -480,54 +321,6 @@ impl Resolver {
                     self.expr(v);
                 }
             }
-        }
-    }
-}
-
-/// Collect, in first-appearance order, every name this block could define in
-/// the *current* scope: assignment targets, loop induction variables and
-/// `catch` bindings. `parallel for` bodies are skipped — they define into
-/// their own worker scope.
-fn collect_assigned(b: &Block, out: &mut Vec<Symbol>) {
-    fn push(out: &mut Vec<Symbol>, name: Symbol) {
-        if !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Assign { target: Target::Name { name, .. }, .. } => push(out, *name),
-            StmtKind::Assign { .. } | StmtKind::Expr(_) => {}
-            StmtKind::If { then, elifs, els, .. } => {
-                collect_assigned(then, out);
-                for (_, b) in elifs {
-                    collect_assigned(b, out);
-                }
-                if let Some(b) = els {
-                    collect_assigned(b, out);
-                }
-            }
-            StmtKind::While { body, .. } | StmtKind::Lock { body, .. } => {
-                collect_assigned(body, out);
-            }
-            StmtKind::For { var, body, .. } => {
-                push(out, *var);
-                collect_assigned(body, out);
-            }
-            StmtKind::ParallelFor { .. } => {}
-            StmtKind::Parallel { body } | StmtKind::Background { body } => {
-                collect_assigned(body, out);
-            }
-            StmtKind::Try { body, err_name, handler, .. } => {
-                collect_assigned(body, out);
-                push(out, *err_name);
-                collect_assigned(handler, out);
-            }
-            StmtKind::Return(_)
-            | StmtKind::Break
-            | StmtKind::Continue
-            | StmtKind::Pass
-            | StmtKind::Assert { .. } => {}
         }
     }
 }
@@ -637,10 +430,10 @@ mod tests {
         let layout = r.func_layout(0);
         assert_eq!(layout.names().len(), 2);
         for id in var_nodes(&p, "main", "x") {
-            assert_eq!(r.coord(id), Some((0, 0)), "x reads resolve to slot 0");
+            assert_eq!(r.coord(id), (0, 0), "x reads resolve to slot 0");
         }
         for id in var_nodes(&p, "main", "y") {
-            assert_eq!(r.coord(id), Some((0, 1)));
+            assert_eq!(r.coord(id), (0, 1));
         }
     }
 
@@ -656,12 +449,12 @@ mod tests {
     }
 
     #[test]
-    fn conditional_names_still_resolve_in_single_frame() {
-        // With only the function frame in the chain, even a conditionally
-        // assigned name has exactly one possible home.
+    fn conditional_names_resolve_to_their_function_slot() {
+        // A conditionally assigned name has exactly one home: the slot its
+        // first assignment in the text gave it.
         let (p, r) = resolve_src("def main():\n    if true:\n        x = 1\n    print(x)\n");
         let reads = var_nodes(&p, "main", "x");
-        assert!(reads.iter().all(|id| r.coord(*id).is_some()));
+        assert!(reads.iter().all(|id| r.coord(*id) == (0, 0)));
     }
 
     #[test]
@@ -670,7 +463,7 @@ mod tests {
             resolve_src("def main():\n    parallel for i in [1 ... 4]:\n        print(i)\n");
         let reads = var_nodes(&p, "main", "i");
         assert_eq!(reads.len(), 1);
-        assert_eq!(r.coord(reads[0]), Some((0, 0)), "induction var at worker slot 0");
+        assert_eq!(r.coord(reads[0]), (0, 0), "induction var at worker slot 0");
         assert_eq!(r.pfor_layouts.len(), 1);
         let layout = r.pfor_layouts.values().next().unwrap();
         assert_eq!(layout.names()[0], "i");
@@ -682,35 +475,64 @@ mod tests {
             "def main():\n    total = 0\n    parallel for i in [1 ... 4]:\n        lock sum:\n            total = total + i\n    print(total)\n",
         );
         let reads = var_nodes(&p, "main", "total");
-        // total was definitely bound before the loop: body accesses resolve
-        // one frame up.
+        // total was assigned before the loop: body accesses resolve one
+        // frame up.
         for id in &reads {
-            let c = r.coord(*id).expect("resolved");
+            let c = r.coord(*id);
             assert!(c == (1, 0) || c == (0, 0), "inner (1,0) or outer (0,0), got {c:?}");
         }
-        assert!(reads.iter().any(|id| r.coord(*id) == Some((1, 0))), "body read goes 1 up");
+        assert!(reads.iter().any(|id| r.coord(*id) == (1, 0)), "body read goes 1 up");
     }
 
-    #[test]
-    fn ambiguous_binding_falls_back_to_dynamic() {
-        // `x` is only maybe-bound at function level when the loop body runs,
-        // so the body access must stay dynamic.
-        let (p, r) = resolve_src(
-            "def main():\n    if true:\n        x = 1\n    parallel for i in [1 ... 2]:\n        x = 2\n    print(x)\n",
-        );
+    /// The coordinate of the first name assignment inside the first
+    /// `parallel for` body of `main`.
+    fn pfor_assign_coord(p: &Program, r: &Resolution) -> (usize, usize) {
         let f = p.func("main").unwrap();
-        // Find the assignment target inside the parallel for body.
-        let mut pfor_target = None;
         for s in &f.body.stmts {
             if let StmtKind::ParallelFor { body, .. } = &s.kind {
                 for bs in &body.stmts {
                     if let StmtKind::Assign { target: Target::Name { id, .. }, .. } = &bs.kind {
-                        pfor_target = Some(*id);
+                        return r.coord(*id);
                     }
                 }
             }
         }
-        assert_eq!(r.coord(pfor_target.expect("target")), None, "must stay dynamic");
+        panic!("no assignment in a parallel for body");
+    }
+
+    #[test]
+    fn a_conditional_outer_assignment_binds_a_later_pfor_write_statically() {
+        // `x` is assigned earlier in the text only on one branch; the body
+        // write still binds to the function frame, whether or not the
+        // branch runs.
+        let (p, r) = resolve_src(
+            "def main():\n    if true:\n        x = 1\n    parallel for i in [1 ... 2]:\n        x = 2\n    print(x)\n",
+        );
+        assert_eq!(pfor_assign_coord(&p, &r), (1, 0), "one frame up, x's function slot");
+        for id in var_nodes(&p, "main", "x") {
+            assert_eq!(r.coord(id), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_name_bound_in_a_parallel_arm_is_shared_with_a_later_pfor() {
+        let (p, r) = resolve_src(
+            "def main():\n    parallel:\n        y = 1\n        z = 2\n    parallel for i in [1 ... 2]:\n        y = y + z\n    print(y)\n",
+        );
+        assert_eq!(pfor_assign_coord(&p, &r), (1, 0));
+        let reads = var_nodes(&p, "main", "z");
+        assert_eq!(reads.iter().map(|id| r.coord(*id)).collect::<Vec<_>>(), [(1, 1)]);
+    }
+
+    #[test]
+    fn a_name_first_assigned_after_a_pfor_is_worker_private_inside_it() {
+        let (p, r) = resolve_src(
+            "def main():\n    parallel for i in [1 ... 2]:\n        t = i\n    t = 5\n    print(t)\n",
+        );
+        assert_eq!(pfor_assign_coord(&p, &r), (0, 1), "worker slot after `i`");
+        assert_eq!(r.func_layout(0).names(), [Symbol::intern("t")]);
+        let reads = var_nodes(&p, "main", "t");
+        assert_eq!(reads.iter().map(|id| r.coord(*id)).collect::<Vec<_>>(), [(0, 0)]);
     }
 
     #[test]
@@ -720,18 +542,7 @@ mod tests {
         );
         let reads = var_nodes(&p, "main", "sq");
         assert_eq!(reads.len(), 1);
-        assert_eq!(r.coord(reads[0]), Some((0, 1)), "sq lives in the worker frame");
-    }
-
-    #[test]
-    fn all_dynamic_resolution_resolves_nothing() {
-        let (p, _) = resolve_src("def main():\n    x = 1\n    print(x)\n");
-        let r = Resolution::all_dynamic(&p);
-        assert_eq!(r.coord(NodeId(0)), None);
-        assert_eq!(r.resolved_count(), 0);
-        assert!(r.func_layout(3).is_empty());
-        assert!(r.pfor_layout(NodeId(7)).is_empty());
-        assert!(!r.func_is_private(0) && !r.func_is_private(3));
+        assert_eq!(r.coord(reads[0]), (0, 1), "sq lives in the worker frame");
     }
 
     /// The ids of every `lock` statement in `b`, in source order.
@@ -790,10 +601,6 @@ def main():
         let indices: Vec<Option<usize>> = ids.iter().map(|id| r.lock_index(*id)).collect();
         assert_eq!(indices, [Some(0), Some(1), Some(1), Some(2), Some(0)]);
         assert_eq!(r.lock_index(p.funcs[1].body.stmts[1].id), None, "an `if` is no lock");
-        // The all-dynamic resolution keeps the lock table.
-        let d = Resolution::all_dynamic(&p);
-        assert_eq!(d.lock_names(), r.lock_names());
-        assert!(ids.iter().all(|id| d.lock_index(*id) == r.lock_index(*id)));
     }
 
     // ---- privacy verdict -------------------------------------------------
@@ -861,7 +668,7 @@ def main():
         print(f(6))
 ";
         let (p, r) = resolve_src(src);
-        assert!(r.func_is_private(0), "f spawns nothing and resolves every access");
+        assert!(r.func_is_private(0), "f spawns nothing");
         assert_eq!(p.funcs[1].name, "main");
         assert!(!r.func_is_private(1), "main runs a parallel block");
         assert!(!r.func_is_private(2), "no such function");

@@ -76,8 +76,10 @@ pub enum Instr {
     Index,
     /// Pop value, index, base; perform `base[index] = value`.
     IndexStore,
-    /// Pop message (string, when `has_msg`) then bool; error when false.
-    Assert { has_msg: bool },
+    /// Pop a message string when `text` is `None`, then a bool; error when
+    /// false, with the popped message or the constant string `consts[t]`
+    /// for `text: Some(t)` (an assert without a message).
+    Assert { text: Option<u16> },
     /// Acquire the named lock `consts[i]` (blocks; scheduler-visible).
     EnterLock(u16),
     /// Release the named lock `consts[i]`.

@@ -14,6 +14,7 @@
 
 use crate::bytecode::*;
 use std::collections::HashMap;
+use tetra_ast::pretty::expr_to_source;
 use tetra_ast::{AssignOp, BinOp, Block, Expr, ExprKind, Stmt, StmtKind, Target, Type, UnOp};
 use tetra_intern::Symbol;
 use tetra_stdlib::Builtin;
@@ -329,10 +330,18 @@ impl<'c, 't> FnCompiler<'c, 't> {
             }
             StmtKind::Assert { cond, message } => {
                 self.expr(cond);
-                if let Some(m) = message {
-                    self.expr(m);
-                }
-                self.emit(Instr::Assert { has_msg: message.is_some() });
+                let text = match message {
+                    Some(m) => {
+                        self.expr(m);
+                        None
+                    }
+                    // The interpreter's text for an assert without a message.
+                    None => {
+                        let text = format!("assert failed: {}", expr_to_source(cond));
+                        Some(self.comp.intern(Const::Str(text)))
+                    }
+                };
+                self.emit(Instr::Assert { text });
             }
             StmtKind::If { cond, then, elifs, els } => {
                 // Chain of conditional jumps; all arms jump to the end.
@@ -637,8 +646,13 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 }
             },
             ExprKind::Call { callee, args } => {
-                match self.comp.typed.callees.get(&e.id).copied() {
-                    Some(Callee::User(idx)) => {
+                let Some(&resolved) = self.comp.typed.callees.get(&e.id) else {
+                    unreachable!(
+                        "types::check records a callee for every call, not for `{callee}`"
+                    );
+                };
+                match resolved {
+                    Callee::User(idx) => {
                         let params: Vec<Type> = self.comp.typed.program.funcs[idx]
                             .params
                             .iter()
@@ -650,32 +664,11 @@ impl<'c, 't> FnCompiler<'c, 't> {
                         }
                         self.emit(Instr::Call(idx as u16, args.len() as u8));
                     }
-                    Some(Callee::Builtin(b)) => {
+                    Callee::Builtin(b) => {
                         for arg in args {
                             self.expr(arg);
                         }
                         self.emit(Instr::CallBuiltin(b, args.len() as u8));
-                    }
-                    None => {
-                        // Unchecked AST fallback: user functions shadow builtins.
-                        if let Some(idx) = self.comp.typed.program.func_index(callee.as_str()) {
-                            for arg in args {
-                                self.expr(arg);
-                            }
-                            self.emit(Instr::Call(idx as u16, args.len() as u8));
-                        } else if let Some(b) = Builtin::lookup(callee.as_str()) {
-                            for arg in args {
-                                self.expr(arg);
-                            }
-                            self.emit(Instr::CallBuiltin(b, args.len() as u8));
-                        } else {
-                            // Produce a deterministic runtime error.
-                            let c = self.comp.intern(Const::Bool(false));
-                            self.emit(Instr::Const(c));
-                            self.emit(Instr::Assert { has_msg: false });
-                            let n = self.comp.intern(Const::None);
-                            self.emit(Instr::Const(n));
-                        }
                     }
                 }
             }

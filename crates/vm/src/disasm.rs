@@ -61,7 +61,8 @@ fn render(instr: &Instr, program: &CompiledProgram) -> String {
         Instr::MakeDict(n) => format!("make.dict {n}"),
         Instr::Index => "index".into(),
         Instr::IndexStore => "index.store".into(),
-        Instr::Assert { has_msg } => format!("assert msg={has_msg}"),
+        Instr::Assert { text: None } => "assert msg=popped".into(),
+        Instr::Assert { text: Some(i) } => format!("assert msg={}", konst(i)),
         Instr::EnterLock(i) => format!("lock.enter {}", konst(i)),
         Instr::ExitLock(i) => format!("lock.exit {}", konst(i)),
         Instr::Parallel(ts) => format!("parallel {ts:?}"),

@@ -797,13 +797,17 @@ impl VmThread {
                 self.drop_n(3);
                 cost = CostClass::SharedAccess;
             }
-            Instr::Assert { has_msg } => {
-                let msg = if has_msg { Some(self.pop(program)?) } else { None };
+            Instr::Assert { text } => {
+                let msg = if text.is_none() { Some(self.pop(program)?) } else { None };
                 let cond = self.pop(program)?;
                 if !self.truthy(program, cond)? {
-                    let text = match msg {
-                        Some(m) => m.display(),
-                        None => "assertion failed".to_string(),
+                    let text = match (msg, text) {
+                        (Some(m), _) => m.display(),
+                        (None, Some(t)) => match &program.consts[t as usize] {
+                            Const::Str(s) => s.clone(),
+                            other => unreachable!("assert text must be a string, got {other:?}"),
+                        },
+                        (None, None) => unreachable!("a message was popped"),
                     };
                     return Err(self.err(program, ErrorKind::AssertionFailed, text));
                 }

@@ -150,6 +150,23 @@ def main():
     assert_eq!(run_both(src), "2.0 0.5\n6.0\n3.5\n");
 }
 
+#[test]
+fn caught_assert_messages_agree() {
+    let src = "\
+def main():
+    x = 3
+    try:
+        assert x > 5
+    catch e:
+        print(e)
+    try:
+        assert x > 5, \"x is \" + str(x)
+    catch e:
+        print(e)
+";
+    assert_eq!(run_both(src), "assert failed: x > 5\nx is 3\n");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
