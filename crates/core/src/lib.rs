@@ -94,6 +94,14 @@ pub struct Tetra {
 
 impl Tetra {
     /// Parse and type-check Tetra source.
+    ///
+    /// The parser bounds expression trees at 8,000 levels, but the passes
+    /// after it recurse once per level and use the caller's stack. In a
+    /// debug build, compiling on an 8 MiB thread (the usual Linux
+    /// main-thread stack) overflows between 1,200 and 1,300 `+` terms; a
+    /// release build compiles the full 8,000. The `tetra` CLI runs each
+    /// command on a 64 MiB thread: a caller that compiles and runs
+    /// untrusted source should give it a stack of that size too.
     pub fn compile(source: &str) -> Result<Tetra, CompileError> {
         let program = tetra_parser::parse(source)
             .map_err(|d| CompileError { diagnostics: vec![d], source: source.to_string() })?;

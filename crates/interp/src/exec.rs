@@ -22,7 +22,8 @@ use std::sync::Arc;
 use tetra_ast::{AssignOp, Block, Expr, NodeId, Stmt, StmtKind, Target};
 use tetra_intern::Symbol;
 use tetra_runtime::{
-    threads, Env, ErrorKind, MutatorGuard, Object, ThreadCell, ThreadKind, ThreadState, Value,
+    threads, Env, ErrorKind, MutatorGuard, Object, Snapshot, ThreadCell, ThreadKind, ThreadState,
+    Value,
 };
 
 /// Control flow result of a statement.
@@ -106,26 +107,24 @@ impl ThreadCtx<'_> {
             }
             StmtKind::For { var_id, iter, body, .. } => {
                 let items = self.eval_iterable(iter)?;
-                // Keep the container (temps) rooted for the loop's duration.
-                let mark = self.temp_mark();
-                for v in &items {
-                    self.push_temp(*v);
-                }
+                // Root the snapshot by reference for the loop's duration.
+                let mark = self.loops.len();
+                self.loops.push(items.clone());
                 let (up, slot) = self.shared.typed.resolution.coord(*var_id);
-                let mut flow = Flow::Normal;
-                for item in items {
+                let mut result = Ok(Flow::Normal);
+                for &item in items.iter() {
                     self.write_var(up, slot, item);
-                    match self.exec_block(body)? {
-                        Flow::Break => break,
-                        Flow::Continue | Flow::Normal => {}
-                        ret @ Flow::Return(_) => {
-                            flow = ret;
+                    match self.exec_block(body) {
+                        Ok(Flow::Break) => break,
+                        Ok(Flow::Continue | Flow::Normal) => {}
+                        done => {
+                            result = done;
                             break;
                         }
                     }
                 }
-                self.truncate_temps(mark);
-                Ok(flow)
+                self.loops.truncate(mark);
+                result
             }
             StmtKind::Lock { name, body } => self.exec_lock(stmt.id, *name, body),
             StmtKind::Parallel { body } => {
@@ -162,14 +161,14 @@ impl ThreadCtx<'_> {
     /// Evaluate a `for`/`parallel for` sequence into a snapshot of items.
     /// Arrays are snapshotted at loop entry (concurrent `append`s during the
     /// loop do not change the iteration).
-    fn eval_iterable(&mut self, iter: &Expr) -> Result<Vec<Value>, Error> {
+    fn eval_iterable(&mut self, iter: &Expr) -> Result<Arc<Snapshot>, Error> {
         let mark = self.temp_mark();
         let v = self.eval(iter)?;
         self.push_temp(v);
         let result =
             match v {
                 Value::Obj(r) => match r.object() {
-                    Object::Array(items) => Ok(items.lock().clone()),
+                    Object::Array(items) => Ok(Snapshot::new(items.lock().clone())),
                     Object::Str(s) => {
                         // One 1-character string per char; root progressively.
                         let chars: Vec<String> = s.chars().map(|c| c.to_string()).collect();
@@ -179,7 +178,7 @@ impl ThreadCtx<'_> {
                             self.push_temp(sv);
                             out.push(sv);
                         }
-                        Ok(out)
+                        Ok(Snapshot::new(out))
                     }
                     _ => Err(self
                         .err(ErrorKind::Value, format!("cannot iterate over a {}", v.type_name()))),
@@ -390,14 +389,14 @@ impl ThreadCtx<'_> {
     }
 
     /// `parallel for` on the work-stealing pool: the item snapshot stays
-    /// rooted in the parent, workers receive index ranges that split
-    /// adaptively as they are stolen, and `worker_threads` pre-created
+    /// rooted by reference in the parent, workers receive index ranges that
+    /// split adaptively as they are stolen, and `worker_threads` pre-created
     /// logical Tetra threads give every range a stable identity (debugger,
     /// race detector, flame) no matter which pool thread runs it.
     fn exec_parallel_for(
         &mut self,
         stmt_id: NodeId,
-        items: Vec<Value>,
+        items: Arc<Snapshot>,
         body: &Block,
     ) -> Result<(), Error> {
         if items.is_empty() {
@@ -412,10 +411,8 @@ impl ThreadCtx<'_> {
         let layout = self.shared.typed.resolution.pfor_layout(stmt_id);
         // Root the snapshot in the parent for the whole loop: no per-worker
         // item copies, and the ranges below are plain indices.
-        let mark = self.temp_mark();
-        for v in &items {
-            self.push_temp(*v);
-        }
+        let mark = self.loops.len();
+        self.loops.push(items.clone());
         // Pre-create the logical workers; executors check one out per range.
         let mut slots = Vec::with_capacity(workers);
         for _ in 0..workers {
@@ -433,7 +430,7 @@ impl ThreadCtx<'_> {
         let job = Arc::new(PforJob {
             shared: self.shared.clone(),
             body: Arc::new(body.clone()),
-            items: Arc::new(items),
+            items,
             spawn_node,
             slots: Mutex::new(slots),
             next_slot: AtomicUsize::new(0),
@@ -476,7 +473,7 @@ impl ThreadCtx<'_> {
             ctx.finish_thread();
         }
         drop(ctxs);
-        self.truncate_temps(mark);
+        self.loops.truncate(mark);
         let first_error = job.error.lock().take();
         match (first_error, pool_result) {
             (Some(e), _) => Err(e),
@@ -540,7 +537,7 @@ enum WorkerSlot {
 struct PforJob {
     shared: Arc<Shared>,
     body: Arc<Block>,
-    items: Arc<Vec<Value>>,
+    items: Arc<Snapshot>,
     spawn_node: u32,
     /// `worker_threads` slots; executors check one out per range. With the
     /// parent helping there can be `workers + 1` concurrent executors, so

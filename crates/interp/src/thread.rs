@@ -3,8 +3,9 @@
 //! Each Tetra thread — the main thread plus every thread spawned by
 //! `parallel`, `background` and `parallel for` — owns one [`ThreadCtx`]:
 //! its call stack of environments, a temporary root stack for values held
-//! across GC points, its held-lock list, and its registration with the GC
-//! and the thread registry.
+//! across GC points, the item snapshots of the loops it is running, its
+//! held-lock list, and its registration with the GC and the thread
+//! registry.
 //!
 //! A function frame is one of two kinds. A *shared* frame is an `Env`
 //! frame (`Arc` + `RwLock`), because `parallel:`, `background:` and
@@ -21,7 +22,7 @@ use tetra_ast::Stmt;
 use tetra_intern::Symbol;
 use tetra_runtime::{
     Env, ErrorKind, FrameRef, GcRef, MutatorGuard, Object, RootSink, RootSource, RuntimeError,
-    SlotLayout, ThreadCell, ThreadState, Value,
+    SlotLayout, Snapshot, ThreadCell, ThreadState, Value,
 };
 
 /// Stack size for spawned Tetra threads: recursive tree-walking plus user
@@ -56,6 +57,9 @@ pub(crate) struct ThreadCtx<'s> {
     pub private: Option<PrivateFrame<'s>>,
     /// Temporary GC roots: intermediate values alive across GC points.
     pub temps: Vec<Value>,
+    /// Item snapshots of the `for` and `parallel for` loops this thread is
+    /// running, innermost last; rooted by reference.
+    pub loops: Vec<Arc<Snapshot>>,
     /// Lock names this thread currently holds, innermost last.
     pub held_locks: Vec<Symbol>,
     pub call_depth: u32,
@@ -94,9 +98,10 @@ pub(crate) struct Parked {
     env_slot_hits: u64,
 }
 
-/// A thread's GC roots: its temporaries, its private frames' slots and its
-/// shared frames. The context is its own root source, so handing it to the
-/// heap reads nothing until a collection actually marks.
+/// A thread's GC roots: its temporaries, its private frames' slots, its
+/// shared frames and its loop snapshots. The context is its own root
+/// source, so handing it to the heap reads nothing until a collection
+/// actually marks.
 impl RootSource for ThreadCtx<'_> {
     fn roots(&self, sink: &mut RootSink) {
         for v in &self.temps {
@@ -109,6 +114,9 @@ impl RootSource for ThreadCtx<'_> {
             for f in env.frames() {
                 sink.frame(f);
             }
+        }
+        for s in &self.loops {
+            sink.snapshot(s);
         }
     }
 }
@@ -140,6 +148,7 @@ impl<'s> ThreadCtx<'s> {
             locals: Vec::new(),
             private: None,
             temps: Vec::new(),
+            loops: Vec::new(),
             held_locks: Vec::new(),
             call_depth: 0,
             line: 0,
@@ -171,6 +180,7 @@ impl<'s> ThreadCtx<'s> {
             locals: Vec::new(),
             private: None,
             temps: Vec::new(),
+            loops: Vec::new(),
             held_locks: Vec::new(),
             call_depth: 0,
             line: 0,
@@ -184,7 +194,8 @@ impl<'s> ThreadCtx<'s> {
     /// Detach a `parallel for` worker between ranges (see [`Parked`]).
     pub fn park(self) -> Parked {
         debug_assert!(self.held_locks.is_empty() && self.call_depth == 0);
-        debug_assert!(self.locals.is_empty() && self.env_stack.len() == 1);
+        debug_assert!(self.locals.is_empty() && self.loops.is_empty());
+        debug_assert_eq!(self.env_stack.len(), 1);
         let env = self.env_stack.into_iter().next().expect("env stack never empty");
         Parked {
             mutator: self.mutator,
@@ -207,6 +218,7 @@ impl<'s> ThreadCtx<'s> {
             locals: Vec::new(),
             private: None,
             temps: Vec::new(),
+            loops: Vec::new(),
             held_locks: Vec::new(),
             call_depth: 0,
             line: 0,

@@ -17,7 +17,7 @@
 //! The only access by name is the debugger's read-only [`Env::get`], which
 //! looks a name up in each frame's layout, innermost first.
 
-use crate::value::Value;
+use crate::value::{GcRef, Value};
 use parking_lot::RwLock;
 use std::sync::Arc;
 use tetra_intern::Symbol;
@@ -119,11 +119,10 @@ impl Frame {
         entries
     }
 
-    /// Invoke `f` on every stored value (GC mark phase; world is stopped).
-    pub fn trace(&self, f: &mut dyn FnMut(Value)) {
-        for v in self.slots.read().iter().flatten() {
-            f(*v);
-        }
+    /// Invoke `f` on every heap reference the slots hold (GC mark phase;
+    /// world is stopped).
+    pub fn trace(&self, f: &mut dyn FnMut(GcRef)) {
+        self.slots.read().iter().flatten().filter_map(Value::as_obj).for_each(f);
     }
 }
 

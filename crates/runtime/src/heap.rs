@@ -18,11 +18,16 @@
 //!   a **safe region** (a blocking operation: Tetra `lock` waits, thread
 //!   joins, console reads — these publish roots first so the GC never waits
 //!   on a blocked thread).
-//! * Roots are published as plain values (temporaries/operand stacks) plus
-//!   shared frame handles; frames are traced at mark time so concurrent
-//!   mutation between publications cannot hide objects.
+//! * Roots are published as heap references only: a scalar holds no
+//!   reference, so [`RootSink::value`] drops it and no root set or mark
+//!   stack ever carries one. Shared frames and loop item snapshots are
+//!   published by reference (one `Arc` each) and traced at mark time, once
+//!   per collection however many threads publish them; concurrent
+//!   mutation of a frame between publications therefore cannot hide
+//!   objects, and a thread's publication costs O(frames + loop nesting),
+//!   not O(loop items).
 //! * Mark runs **in parallel** when it pays: the coordinator batches the
-//!   published root sets into a shared work queue and `min(mutators,
+//!   gathered root references into a shared work queue and `min(mutators,
 //!   cores)` workers (capped by `HeapConfig::gc_threads`) drain it,
 //!   donating half their local worklist back whenever it grows large. The
 //!   mark bit is an atomic swap, so two workers racing on one object agree
@@ -45,8 +50,8 @@
 //!    sweeping this mutator's segment while the closure runs.
 
 use crate::env::FrameRef;
-use crate::value::{GcBox, GcRef, Object, Value};
-use parking_lot::{Condvar, Mutex};
+use crate::value::{GcBox, GcRef, Object, Snapshot, Value};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::HashMap;
 use std::mem::MaybeUninit;
@@ -119,21 +124,31 @@ pub struct GcStats {
     pub mark_workers: u64,
 }
 
-/// Sink filled by a [`RootSource`]: direct values plus shared frames that
-/// the collector traces at mark time.
+/// Sink filled by a [`RootSource`]: direct heap references, plus shared
+/// frames and loop snapshots that the collector traces at mark time.
 #[derive(Default)]
 pub struct RootSink {
-    pub values: Vec<Value>,
-    pub frames: Vec<FrameRef>,
+    refs: Vec<GcRef>,
+    frames: Vec<FrameRef>,
+    snapshots: Vec<Arc<Snapshot>>,
 }
 
 impl RootSink {
+    /// Root `v` if it is a heap reference; a scalar needs no root.
+    #[inline]
     pub fn value(&mut self, v: Value) {
-        self.values.push(v);
+        if let Value::Obj(r) = v {
+            self.refs.push(r);
+        }
     }
 
     pub fn frame(&mut self, f: &FrameRef) {
         self.frames.push(f.clone());
+    }
+
+    /// Root a loop's item snapshot by reference.
+    pub fn snapshot(&mut self, s: &Arc<Snapshot>) {
+        self.snapshots.push(s.clone());
     }
 }
 
@@ -151,8 +166,8 @@ impl RootSource for NoRoots {
     fn roots(&self, _sink: &mut RootSink) {}
 }
 
-/// Root source that chains an extra set of values in front of another
-/// source — used to root an object's children during the collection its own
+/// Root source that chains a pending object's children in front of another
+/// source — used to root them during the collection the object's own
 /// allocation triggered.
 struct WithPending<'a> {
     inner: &'a dyn RootSource,
@@ -162,7 +177,7 @@ struct WithPending<'a> {
 impl RootSource for WithPending<'_> {
     fn roots(&self, sink: &mut RootSink) {
         self.inner.roots(sink);
-        self.pending.trace_children(&mut |v| sink.values.push(v));
+        self.pending.trace_children(&mut |r| sink.refs.push(r));
     }
 }
 
@@ -308,8 +323,8 @@ fn new_segment_ref() -> SegmentRef {
 struct Slot {
     parked: bool,
     safe_region: bool,
-    values: Vec<Value>,
-    frames: Vec<FrameRef>,
+    /// Published while parked or in a safe region; empty while running.
+    roots: RootSink,
     segment: SegmentRef,
 }
 
@@ -326,15 +341,15 @@ struct Ctrl {
 }
 
 /// Batch size for the parallel-mark work queue; workers donate this many
-/// values back whenever their local stack doubles it.
+/// references back whenever their local stack doubles it.
 const MARK_BATCH: usize = 256;
 
-/// Root sets smaller than this are marked sequentially — spawning workers
-/// costs more than the marking itself.
+/// Root sets of fewer heap references than this are marked sequentially —
+/// spawning workers costs more than the marking itself.
 const PAR_MARK_MIN_ROOTS: usize = 64;
 
 struct MarkQueueState {
-    batches: Vec<Vec<Value>>,
+    batches: Vec<Vec<GcRef>>,
     /// Workers currently processing a batch (may still donate more).
     active: usize,
 }
@@ -363,17 +378,15 @@ impl MarkQueue {
                 }
             };
             let mut local = batch;
-            while let Some(v) = local.pop() {
-                if let Value::Obj(r) = v {
-                    // Atomic swap: exactly one worker wins each object.
-                    if !r.set_mark(true) {
-                        r.object().trace_children(&mut |child| local.push(child));
-                        if local.len() >= 2 * MARK_BATCH {
-                            let donated = local.split_off(local.len() - MARK_BATCH);
-                            let mut st = self.state.lock();
-                            st.batches.push(donated);
-                            self.cv.notify_one();
-                        }
+            while let Some(r) = local.pop() {
+                // Atomic swap: exactly one worker wins each object.
+                if !r.set_mark(true) {
+                    r.object().trace_children(&mut |child| local.push(child));
+                    if local.len() >= 2 * MARK_BATCH {
+                        let donated = local.split_off(local.len() - MARK_BATCH);
+                        let mut st = self.state.lock();
+                        st.batches.push(donated);
+                        self.cv.notify_one();
                     }
                 }
             }
@@ -464,8 +477,7 @@ impl Heap {
             Slot {
                 parked: false,
                 safe_region: false,
-                values: Vec::new(),
-                frames: Vec::new(),
+                roots: RootSink::default(),
                 segment: Arc::clone(&segment),
             },
         );
@@ -484,13 +496,7 @@ impl Heap {
         let segment = ctrl.pool.pop().unwrap_or_else(new_segment_ref);
         ctrl.slots.insert(
             id,
-            Slot {
-                parked: false,
-                safe_region: true,
-                values: sink.values,
-                frames: sink.frames,
-                segment: Arc::clone(&segment),
-            },
+            Slot { parked: false, safe_region: true, roots: sink, segment: Arc::clone(&segment) },
         );
         MutatorGuard { heap: Arc::clone(self), id, segment, in_safe_region: Cell::new(false) }
     }
@@ -511,8 +517,7 @@ impl Heap {
         }
         if let Some(slot) = ctrl.slots.get_mut(&m.id) {
             slot.safe_region = false;
-            slot.values.clear();
-            slot.frames.clear();
+            slot.roots = RootSink::default();
         }
     }
 
@@ -527,8 +532,7 @@ impl Heap {
         let mut ctrl = self.ctrl.lock();
         if let Some(slot) = ctrl.slots.get_mut(&m.id) {
             slot.safe_region = true;
-            slot.values = sink.values;
-            slot.frames = sink.frames;
+            slot.roots = sink;
         }
         // A collector may be waiting for this mutator to stop running.
         self.cv_mutators.notify_all();
@@ -617,8 +621,7 @@ impl Heap {
             let mut ctrl = self.ctrl.lock();
             let slot = ctrl.slots.get_mut(&m.id).expect("mutator deregistered");
             slot.safe_region = true;
-            slot.values = sink.values;
-            slot.frames = sink.frames;
+            slot.roots = sink;
             // A collector may be waiting for this thread to stop running.
             self.cv_mutators.notify_all();
         }
@@ -631,8 +634,7 @@ impl Heap {
         }
         if let Some(slot) = ctrl.slots.get_mut(&m.id) {
             slot.safe_region = false;
-            slot.values.clear();
-            slot.frames.clear();
+            slot.roots = RootSink::default();
         }
         result
     }
@@ -684,24 +686,28 @@ impl Heap {
         let mut sink = RootSink::default();
         roots.roots(&mut sink);
         let mut ctrl = self.ctrl.lock();
-        if !ctrl.gc_requested {
-            return; // raced with the end of the collection
+        if ctrl.gc_requested {
+            self.park_locked(&mut ctrl, m, sink);
         }
+        // Otherwise it raced with the end of the collection.
+    }
+
+    /// With the control lock held and a collection in progress: publish
+    /// `sink`, wait until that collection ends, then retract it.
+    fn park_locked(&self, ctrl: &mut MutexGuard<'_, Ctrl>, m: &MutatorGuard, sink: RootSink) {
         let epoch = ctrl.epoch;
         {
             let slot = ctrl.slots.get_mut(&m.id).expect("mutator deregistered");
             slot.parked = true;
-            slot.values = sink.values;
-            slot.frames = sink.frames;
+            slot.roots = sink;
         }
         self.cv_mutators.notify_all();
         while ctrl.gc_requested && ctrl.epoch == epoch {
-            self.cv_resume.wait(&mut ctrl);
+            self.cv_resume.wait(ctrl);
         }
         if let Some(slot) = ctrl.slots.get_mut(&m.id) {
             slot.parked = false;
-            slot.values.clear();
-            slot.frames.clear();
+            slot.roots = RootSink::default();
         }
     }
 
@@ -730,23 +736,8 @@ impl Heap {
         roots.roots(&mut sink);
         let mut ctrl = self.ctrl.lock();
         if ctrl.gc_requested {
-            // Someone else is collecting: behave like park().
-            let epoch = ctrl.epoch;
-            {
-                let slot = ctrl.slots.get_mut(&m.id).expect("mutator deregistered");
-                slot.parked = true;
-                slot.values = sink.values;
-                slot.frames = sink.frames;
-            }
-            self.cv_mutators.notify_all();
-            while ctrl.gc_requested && ctrl.epoch == epoch {
-                self.cv_resume.wait(&mut ctrl);
-            }
-            if let Some(slot) = ctrl.slots.get_mut(&m.id) {
-                slot.parked = false;
-                slot.values.clear();
-                slot.frames.clear();
-            }
+            // Someone else is collecting: park instead.
+            self.park_locked(&mut ctrl, m, sink);
             return;
         }
         ctrl.gc_requested = true;
@@ -758,8 +749,7 @@ impl Heap {
         {
             let slot = ctrl.slots.get_mut(&m.id).expect("mutator deregistered");
             slot.parked = true;
-            slot.values = sink.values;
-            slot.frames = sink.frames;
+            slot.roots = sink;
         }
         // Wait for every other mutator to park or block in a safe region.
         // The ctrl lock is released only inside this wait: a mutator that
@@ -773,29 +763,36 @@ impl Heap {
         // ---- world is stopped: mark ----
         let mark_start = Instant::now();
         gc_phase(GC_TID, GcPhase::StwWait, collection, pause_start, mark_start, 0);
-        let mut root_values: Vec<Value> = Vec::new();
-        let mut seen_frames = std::collections::HashSet::new();
+        // Frames and snapshots are shared between threads (a `parallel`
+        // block's children publish their parent's frames): trace each
+        // distinct one once.
+        let mut root_refs: Vec<GcRef> = Vec::new();
+        let mut traced = std::collections::HashSet::new();
         for slot in ctrl.slots.values() {
-            root_values.extend_from_slice(&slot.values);
-            for f in &slot.frames {
-                if seen_frames.insert(Arc::as_ptr(f) as usize) {
-                    f.trace(&mut |v| root_values.push(v));
+            let roots = &slot.roots;
+            root_refs.extend_from_slice(&roots.refs);
+            for f in &roots.frames {
+                if traced.insert(Arc::as_ptr(f) as usize) {
+                    f.trace(&mut |r| root_refs.push(r));
+                }
+            }
+            for s in &roots.snapshots {
+                if traced.insert(Arc::as_ptr(s) as usize) {
+                    s.trace(&mut |r| root_refs.push(r));
                 }
             }
         }
-        let workers = self.plan_mark_workers(ctrl.slots.len(), root_values.len());
+        let workers = self.plan_mark_workers(ctrl.slots.len(), root_refs.len());
         if workers <= 1 {
-            let mut worklist = root_values;
-            while let Some(v) = worklist.pop() {
-                if let Value::Obj(r) = v {
-                    if !r.set_mark(true) {
-                        r.object().trace_children(&mut |child| worklist.push(child));
-                    }
+            let mut worklist = root_refs;
+            while let Some(r) = worklist.pop() {
+                if !r.set_mark(true) {
+                    r.object().trace_children(&mut |child| worklist.push(child));
                 }
             }
         } else {
-            let batches: Vec<Vec<Value>> =
-                root_values.chunks(MARK_BATCH).map(|c| c.to_vec()).collect();
+            let batches: Vec<Vec<GcRef>> =
+                root_refs.chunks(MARK_BATCH).map(|c| c.to_vec()).collect();
             let queue = MarkQueue {
                 state: Mutex::new(MarkQueueState { batches, active: 0 }),
                 cv: Condvar::new(),
@@ -856,8 +853,7 @@ impl Heap {
         self.gc_flag.store(false, Ordering::Release);
         if let Some(slot) = ctrl.slots.get_mut(&m.id) {
             slot.parked = false;
-            slot.values.clear();
-            slot.frames.clear();
+            slot.roots = RootSink::default();
         }
         self.cv_resume.notify_all();
     }
@@ -1012,6 +1008,79 @@ mod tests {
         heap.collect_now(&m, &roots);
         assert_eq!(heap.stats().live_objects, 1);
         assert_eq!(frame.get("x").unwrap().as_str(), Some("framed"));
+    }
+
+    #[test]
+    fn root_sets_hold_heap_references_only() {
+        let heap = test_heap(false);
+        let m = heap.register_mutator();
+        let objs: Vec<Value> =
+            (0..3).map(|i| heap.alloc_str(&m, &NoRoots, format!("o{i}"))).collect();
+        let mut published: Vec<Value> = (0..10_000).map(Value::Int).collect();
+        published.extend(&objs);
+        let mut sink = RootSink::default();
+        VecRoots(published).roots(&mut sink);
+        let refs: Vec<GcRef> = objs.iter().filter_map(Value::as_obj).collect();
+        assert_eq!(sink.refs, refs);
+    }
+
+    #[test]
+    fn a_large_scalar_array_root_keeps_its_siblings() {
+        let heap = test_heap(false);
+        let m = heap.register_mutator();
+        let ints = heap.alloc_array(&m, &NoRoots, (0..100_000).map(Value::Int).collect());
+        let left = heap.alloc_str(&m, &VecRoots(vec![ints]), "left");
+        let right = heap.alloc_str(&m, &VecRoots(vec![ints, left]), "right");
+        let pair = heap.alloc_array(&m, &VecRoots(vec![ints, left, right]), vec![left, right]);
+        let _garbage = heap.alloc_str(&m, &VecRoots(vec![ints, pair]), "garbage");
+        heap.collect_now(&m, &VecRoots(vec![ints, pair]));
+        let s = heap.stats();
+        assert_eq!((s.live_objects, s.objects_freed), (4, 1));
+        assert_eq!(left.as_str(), Some("left"));
+        assert_eq!(right.as_str(), Some("right"));
+        if let Object::Array(items) = ints.as_obj().unwrap().object() {
+            let items = items.lock();
+            assert_eq!(items.len(), 100_000);
+            assert!(matches!(items[99_999], Value::Int(99_999)));
+        }
+    }
+
+    #[test]
+    fn snapshots_root_their_items_by_reference() {
+        struct SnapshotRoots(Arc<Snapshot>);
+        impl RootSource for SnapshotRoots {
+            fn roots(&self, sink: &mut RootSink) {
+                sink.snapshot(&self.0);
+            }
+        }
+        let heap = Heap::new(HeapConfig { gc_threads: 4, ..HeapConfig::default() });
+        let m = heap.register_mutator();
+        let mut items = Vec::new();
+        for i in 0..200 {
+            items.push(heap.alloc_str(&m, &NoRoots, format!("item {i}")));
+            items.push(Value::Int(i));
+        }
+        let snapshot = Snapshot::new(items);
+        // Two threads publishing the same loop snapshot (one root each)
+        // while a third is blocked in a safe region.
+        let a = heap.register_spawned(&SnapshotRoots(snapshot.clone()));
+        let b = heap.register_spawned(&SnapshotRoots(snapshot.clone()));
+        let _garbage = heap.alloc_str(&m, &NoRoots, "garbage");
+        heap.collect_now(&m, &NoRoots);
+        let s = heap.stats();
+        assert_eq!((s.live_objects, s.objects_freed), (200, 1));
+        // 200 traced references pass the parallel gate.
+        assert!(s.mark_workers >= 2, "{s:?}");
+        for (i, v) in snapshot.iter().step_by(2).enumerate() {
+            assert_eq!(v.as_str(), Some(format!("item {i}").as_str()));
+        }
+        drop((a, b));
+        heap.collect_now(&m, &NoRoots);
+        assert_eq!(heap.stats().live_objects, 0);
+        // A snapshot of scalars has nothing to trace.
+        let mut traced = 0;
+        Snapshot::new((0..10_000).map(Value::Int).collect()).trace(&mut |_| traced += 1);
+        assert_eq!(traced, 0);
     }
 
     #[test]

@@ -31,4 +31,4 @@ pub use heap::{GcStats, Heap, HeapConfig, MutatorGuard, NoRoots, RootSink, RootS
 pub use locks::LockRegistry;
 pub use pool::{PoolPanic, PoolStats, WorkerPool};
 pub use threads::{ThreadCell, ThreadKind, ThreadRegistry, ThreadSnapshot, ThreadState};
-pub use value::{DictKey, GcRef, Object, Value};
+pub use value::{DictKey, GcRef, Object, Snapshot, Value};

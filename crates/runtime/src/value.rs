@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A Tetra runtime value. `Copy`-cheap (16 bytes) so it can be passed around
 /// and stored in frames freely.
@@ -231,27 +232,52 @@ impl Object {
         inner + std::mem::size_of::<GcBox>()
     }
 
-    /// Invoke `f` on every value directly reachable from this object.
-    /// Callers must not be holding the object's internal lock.
-    pub fn trace_children(&self, f: &mut dyn FnMut(Value)) {
+    /// Invoke `f` on every heap object directly reachable from this one;
+    /// scalar elements hold no reference and are skipped. Callers must not
+    /// be holding the object's internal lock.
+    pub fn trace_children(&self, f: &mut dyn FnMut(GcRef)) {
         match self {
             Object::Str(_) => {}
-            Object::Array(items) => {
-                for v in items.lock().iter() {
-                    f(*v);
-                }
-            }
-            Object::Dict(map) => {
-                for v in map.lock().values() {
-                    f(*v);
-                }
-            }
-            Object::Tuple(items) => {
-                for v in items.iter() {
-                    f(*v);
-                }
-            }
+            Object::Array(items) => items.lock().iter().filter_map(Value::as_obj).for_each(f),
+            Object::Dict(map) => map.lock().values().filter_map(Value::as_obj).for_each(f),
+            Object::Tuple(items) => items.iter().filter_map(Value::as_obj).for_each(f),
         }
+    }
+}
+
+/// The items a `for` or `parallel for` iterates, copied at loop entry and
+/// immutable after.
+///
+/// A snapshot is rooted by reference: the thread running the loop
+/// publishes its `Arc` (see [`crate::heap::RootSink::snapshot`]), so a
+/// safepoint or safe region costs one entry per loop nesting level, not
+/// one per item. The collector traces each distinct snapshot once per
+/// collection, and a snapshot of scalars not at all.
+pub struct Snapshot {
+    items: Vec<Value>,
+    /// Whether any item is a heap reference.
+    holds_refs: bool,
+}
+
+impl Snapshot {
+    pub fn new(items: Vec<Value>) -> Arc<Snapshot> {
+        let holds_refs = items.iter().any(|v| matches!(v, Value::Obj(_)));
+        Arc::new(Snapshot { items, holds_refs })
+    }
+
+    /// Invoke `f` on every heap reference among the items.
+    pub(crate) fn trace(&self, f: &mut dyn FnMut(GcRef)) {
+        if self.holds_refs {
+            self.items.iter().filter_map(Value::as_obj).for_each(f);
+        }
+    }
+}
+
+impl std::ops::Deref for Snapshot {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        &self.items
     }
 }
 

@@ -511,15 +511,15 @@ impl<'p> Scheduler<'p> {
                 } else {
                     None
                 };
-                let all_items = share.as_ref().map(|_| self.registry.new_table(items.clone()));
+                let all_items = share.as_ref().map(|_| self.registry.new_snapshot(items.clone()));
                 let mut children = Vec::with_capacity(workers);
                 for i in 0..workers {
-                    let (items_table, lo, hi) = match (&share, &all_items) {
-                        (Some(share), Some(table)) => {
+                    let (snapshot, lo, hi) = match (&share, &all_items) {
+                        (Some(share), Some(all)) => {
                             // `len >= workers`, so every worker's first
                             // claim is non-empty.
                             let (lo, hi) = share.claim().expect("initial claim");
-                            (table.clone(), lo, hi)
+                            (all.clone(), lo, hi)
                         }
                         _ => {
                             let lo = i * per;
@@ -527,14 +527,14 @@ impl<'p> Scheduler<'p> {
                             if lo >= hi {
                                 break;
                             }
-                            // The chunk lives in a registered table so its
+                            // The chunk is a registered snapshot so its
                             // object elements stay rooted for the loop.
-                            (self.registry.new_table(items[lo..hi].to_vec()), 0, hi - lo)
+                            (self.registry.new_snapshot(items[lo..hi].to_vec()), 0, hi - lo)
                         }
                     };
                     let nlocals = self.program.unit(thunk).nlocals as usize;
                     let mut init = vec![Value::None; nlocals];
-                    init[0] = items_table.read()[lo];
+                    init[0] = snapshot[lo];
                     let locals = self.registry.new_table(init);
                     let mut outers = vec![parent_frame.0.clone()];
                     outers.extend(parent_frame.1.iter().cloned());
@@ -548,7 +548,7 @@ impl<'p> Scheduler<'p> {
                         spawn_node,
                     );
                     self.thread(id).feed = Some(Feed {
-                        items: items_table,
+                        items: snapshot,
                         next: lo + 1,
                         end: hi,
                         unit: thunk,
@@ -723,7 +723,7 @@ impl<'p> Scheduler<'p> {
                         }
                     }
                     if feed.next < feed.end {
-                        let item = feed.items.read()[feed.next];
+                        let item = feed.items[feed.next];
                         feed.next += 1;
                         Some((feed.unit, feed.locals.clone(), feed.outers.clone(), item))
                     } else {

@@ -15,7 +15,8 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::{Arc, Weak};
 use tetra_ast::Type;
 use tetra_runtime::{
-    ConsoleRef, ErrorKind, Heap, MutatorGuard, Object, RootSink, RootSource, RuntimeError, Value,
+    ConsoleRef, ErrorKind, Heap, MutatorGuard, Object, RootSink, RootSource, RuntimeError,
+    Snapshot, Value,
 };
 use tetra_stdlib::{ops, Builtin};
 
@@ -23,13 +24,16 @@ use tetra_stdlib::{ops, Builtin};
 /// operand stack.
 pub type Table = Arc<RwLock<Vec<Value>>>;
 
-/// Registry of all live tables; the single GC root source of a VM run.
+/// Registry of all live tables and `parallel for` item snapshots; the
+/// single GC root source of a VM run.
 pub struct Registry {
     tables: Mutex<TableSet>,
 }
 
 struct TableSet {
     entries: Vec<Weak<RwLock<Vec<Value>>>>,
+    /// Item snapshots of running `parallel for` loops, rooted by reference.
+    snapshots: Vec<Weak<Snapshot>>,
     /// Purge dead weak entries once `entries` reaches this length. After a
     /// purge it is reset to twice the surviving count, so a full scan only
     /// runs when the live fraction may have fallen below half — amortized
@@ -41,7 +45,13 @@ const PURGE_FLOOR: usize = 64;
 
 impl Default for Registry {
     fn default() -> Self {
-        Registry { tables: Mutex::new(TableSet { entries: Vec::new(), purge_at: PURGE_FLOOR }) }
+        Registry {
+            tables: Mutex::new(TableSet {
+                entries: Vec::new(),
+                snapshots: Vec::new(),
+                purge_at: PURGE_FLOOR,
+            }),
+        }
     }
 }
 
@@ -57,6 +67,17 @@ impl Registry {
         t
     }
 
+    /// Register a `parallel for`'s items: the collector traces the
+    /// snapshot once per collection instead of reading it as a table.
+    /// Loops are few, so dead entries are purged on every registration.
+    pub fn new_snapshot(&self, items: Vec<Value>) -> Arc<Snapshot> {
+        let s = Snapshot::new(items);
+        let mut set = self.tables.lock();
+        set.snapshots.retain(|w| w.strong_count() > 0);
+        set.snapshots.push(Arc::downgrade(&s));
+        s
+    }
+
     /// Number of weak entries currently tracked (live + not-yet-purged dead).
     pub fn tracked_tables(&self) -> usize {
         self.tables.lock().entries.len()
@@ -65,12 +86,14 @@ impl Registry {
 
 impl RootSource for Registry {
     fn roots(&self, sink: &mut RootSink) {
-        for w in self.tables.lock().entries.iter() {
-            if let Some(t) = w.upgrade() {
-                for v in t.read().iter() {
-                    sink.value(*v);
-                }
+        let set = self.tables.lock();
+        for t in set.entries.iter().filter_map(Weak::upgrade) {
+            for v in t.read().iter() {
+                sink.value(*v);
             }
+        }
+        for s in set.snapshots.iter().filter_map(Weak::upgrade) {
+            sink.snapshot(&s);
         }
     }
 }
@@ -101,13 +124,13 @@ pub enum VmState {
     Done,
 }
 
-/// Work items fed to a parallel-for worker. The items live in a
-/// registry-registered table so they stay GC-rooted for the loop's
+/// Work items fed to a parallel-for worker. The items are a
+/// registry-registered snapshot so they stay GC-rooted for the loop's
 /// lifetime. A worker owns the half-open index range `next..end`; with
 /// dynamic chunking it claims a fresh range from the loop's [`FeedShare`]
 /// whenever its own runs dry.
 pub struct Feed {
-    pub items: Table,
+    pub items: Arc<Snapshot>,
     pub next: usize,
     /// One past the last index of the worker's current chunk.
     pub end: usize,

@@ -109,11 +109,11 @@ def main():
 
 #[test]
 fn forced_gc_in_parallel_region_uses_multiple_mark_workers() {
-    // The parallel-mark gate counts top-level root values, so main recurses
-    // 40 frames deep with two string locals pinned per frame (80+ roots)
-    // before blocking on the join. Workers then call gc(): at least two
-    // mutators are registered at collection time, so with gc_threads=4 the
-    // plan must exceed one worker.
+    // The parallel-mark gate counts the heap references among the roots
+    // (a scalar is never a root), so main recurses 40 frames deep with two
+    // string locals pinned per frame (82 references) before blocking on the
+    // join. Workers then call gc(): at least two mutators are registered at
+    // collection time, so with gc_threads=4 the plan must exceed one worker.
     let src = "\
 def grow(depth int) int:
     pad = \"p\" + str(depth)

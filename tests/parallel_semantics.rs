@@ -33,17 +33,29 @@ def main():
 
 #[test]
 fn background_does_not_block_the_parent() {
-    // The parent's print must be reachable even though the background
-    // thread sleeps; with join-on-exit the background output still appears.
+    // The parent runs on while the background thread waits; with
+    // join-on-exit the background output still appears. The background
+    // thread waits (bounded) for the flag the parent sets after its
+    // print, so the order of the two prints does not depend on how fast
+    // either thread is scheduled. Each statement of a `background:` block
+    // is a thread of its own, so the wait and the print are one call.
     let src = "\
+def announce_after(flag [bool]):
+    waited = 0
+    while not flag[0] and waited < 5000:
+        sleep(5)
+        waited += 5
+    print(\"background done\")
+
 def main():
+    flag = [false]
     t0 = time_ms()
     background:
-        sleep(150)
-        print(\"background done\")
+        announce_after(flag)
     elapsed = time_ms() - t0
     assert elapsed < 100, \"background: block must not join\"
     print(\"parent continues\")
+    flag[0] = true
 ";
     let out = run(src);
     let parent_pos = out.find("parent continues").expect("parent printed");
