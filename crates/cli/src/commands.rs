@@ -8,7 +8,7 @@ const USAGE: &str = "\
 tetra — the Tetra educational parallel programming language
 
 USAGE:
-  tetra run <file.tet> [--threads N] [--gc-stress] [--gc-stats] [--gc-threads N]
+  tetra run <file.tet> [--threads N] [--gc-stress] [--gc-stats]
                        [--no-detect] [--trace out.json] [--metrics] [--heap-profile]
   tetra profile <file.tet> [--threads N] [--flame out.folded]
                                     run with tracing and print a profile report
@@ -41,8 +41,6 @@ struct Opts {
     gil: bool,
     gc_stress: bool,
     gc_stats: bool,
-    /// Cap on parallel mark workers (`--gc-threads`; None = one per core).
-    gc_threads: Option<usize>,
     no_detect: bool,
     /// Static chunking instead of guided self-scheduling (sim only).
     static_chunks: bool,
@@ -62,7 +60,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         gil: false,
         gc_stress: false,
         gc_stats: false,
-        gc_threads: None,
         no_detect: false,
         static_chunks: false,
         fold: false,
@@ -104,10 +101,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--gil" => o.gil = true,
             "--gc-stress" => o.gc_stress = true,
             "--gc-stats" => o.gc_stats = true,
-            "--gc-threads" => {
-                let v = it.next().ok_or("--gc-threads needs a value")?;
-                o.gc_threads = Some(v.parse::<usize>().map_err(|e| e.to_string())?);
-            }
             "--no-detect" => o.no_detect = true,
             "--static-chunks" => o.static_chunks = true,
             "--fold" => o.fold = true,
@@ -226,7 +219,6 @@ fn interp_config(o: &Opts) -> Result<InterpConfig, String> {
         c.worker_threads = t;
     }
     c.gc.stress = o.gc_stress;
-    c.gc.gc_threads = o.gc_threads.unwrap_or(0);
     c.detect_deadlocks = !o.no_detect;
     Ok(c)
 }
@@ -250,8 +242,8 @@ fn run(args: &[String]) -> Result<(), String> {
             stats.gc.pause_total_us, stats.gc.pause_max_us, stats.gc.mark_us, stats.gc.sweep_us
         );
         eprintln!(
-            "gc allocator: {} fast-path, {} segment refills, {} mark worker(s) max",
-            stats.gc.alloc_fast_path, stats.gc.segment_refills, stats.gc.mark_workers
+            "gc allocator: {} fast-path, {} segment refills",
+            stats.gc.alloc_fast_path, stats.gc.segment_refills
         );
         eprintln!(
             "threads: {} spawned; locks: {} acquisitions ({} contended)",
@@ -348,13 +340,12 @@ fn disasm(args: &[String]) -> Result<(), String> {
 fn sim(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
     let (program, _) = compile_file(need_file(&o)?)?;
-    let mut cfg = VmConfig {
+    let cfg = VmConfig {
         workers: o.threads.unwrap_or(4),
         dynamic_chunking: !o.static_chunks,
         cost: tetra::vm::CostModel { gil: o.gil, ..Default::default() },
         ..VmConfig::default()
     };
-    cfg.gc.gc_threads = o.gc_threads.unwrap_or(0);
     let result = observed(&o, || program.simulate_with(cfg, Arc::new(StdConsole)))?;
     let stats = result.map_err(|e| e.to_string())?;
     eprintln!(
@@ -450,11 +441,13 @@ mod tests {
     }
 
     #[test]
-    fn removed_pool_flag_is_an_unknown_option() {
+    fn removed_flags_are_unknown_options() {
         let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/tetra/parallel_sum.tet");
         for cmd in ["run", "sim"] {
-            let err = dispatch(&args(&[cmd, file, "--no-pool"])).unwrap_err();
-            assert!(err.starts_with("unknown option `--no-pool`"), "{cmd}: {err}");
+            for flag in ["--no-pool", "--gc-threads"] {
+                let err = dispatch(&args(&[cmd, file, flag, "2"])).unwrap_err();
+                assert!(err.starts_with(&format!("unknown option `{flag}`")), "{cmd}: {err}");
+            }
         }
     }
 }

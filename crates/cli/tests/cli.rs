@@ -195,11 +195,7 @@ fn gc_stats_reports_phases_and_allocator_counters() {
         "gcphases",
         "def main():\n    s = \"\"\n    for i in [1 ... 80]:\n        s = s + str(i)\n    print(len(s))\n",
     );
-    let out = tetra()
-        .args(["run", "--gc-stats", "--gc-stress", "--gc-threads", "2"])
-        .arg(&path)
-        .output()
-        .unwrap();
+    let out = tetra().args(["run", "--gc-stats", "--gc-stress"]).arg(&path).output().unwrap();
     assert!(out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("mark"), "phase breakdown missing: {err}");

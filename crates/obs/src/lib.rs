@@ -222,19 +222,9 @@ pub enum GcPhase {
 }
 
 /// GC phase span from `start` to `end`, the collector's own clock
-/// readings; `collection` is the ordinal of the collection. `detail` is a
-/// phase-specific payload carried in the event's `b` word: the number of
-/// mark workers for [`GcPhase::Mark`], the number of segments swept for
-/// [`GcPhase::Sweep`], and 0 otherwise.
+/// readings; `collection` is the ordinal of the collection.
 #[inline]
-pub fn gc_phase(
-    tid: u32,
-    phase: GcPhase,
-    collection: u32,
-    start: Instant,
-    end: Instant,
-    detail: u32,
-) {
+pub fn gc_phase(tid: u32, phase: GcPhase, collection: u32, start: Instant, end: Instant) {
     let dur = end.saturating_duration_since(start).as_nanos() as u64;
     if phase == GcPhase::Pause {
         metrics::histogram_record("gc.pause_ns", dur);
@@ -248,7 +238,7 @@ pub fn gc_phase(
         GcPhase::Sweep => EventKind::GcSweep,
         GcPhase::Pause => EventKind::GcPause,
     };
-    emit(kind, tid, session::ns_since_start(start), dur, collection, detail, 0);
+    emit(kind, tid, session::ns_since_start(start), dur, collection, 0, 0);
 }
 
 /// One VM dispatch batch: `instructions` instructions executed for `tid`

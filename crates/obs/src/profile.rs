@@ -307,20 +307,16 @@ pub fn report(trace: &Trace, source_lines: Option<&[String]>) -> String {
     // --- gc allocator --------------------------------------------------------
     // Counters flushed once per run by the heap: they prove the sharded
     // allocation path stayed lock-free (fast-path = straight off a segment
-    // free list; refills = one-chunk segment growth) and show how many
-    // workers the parallel mark actually used.
+    // free list; refills = one-chunk segment growth).
     let fast = trace.metrics.counters.get("gc.alloc_fast_path").copied().unwrap_or(0);
     let refills = trace.metrics.counters.get("gc.segment_refills").copied().unwrap_or(0);
-    let mark_workers = trace.metrics.counters.get("gc.mark_workers").copied().unwrap_or(0);
     if fast + refills > 0 {
         let total = fast + refills;
         out.push_str(&format!(
-            "\n-- gc allocator --\nfast-path allocations: {} ({:.1}%)   segment refills: {}   \
-             mark workers (max): {}\n",
+            "\n-- gc allocator --\nfast-path allocations: {} ({:.1}%)   segment refills: {}\n",
             fast,
             100.0 * fast as f64 / total as f64,
-            refills,
-            mark_workers
+            refills
         ));
     }
 
@@ -480,12 +476,10 @@ mod tests {
         let mut trace = Trace::default();
         trace.metrics.counters.insert("gc.alloc_fast_path".into(), 992);
         trace.metrics.counters.insert("gc.segment_refills".into(), 8);
-        trace.metrics.counters.insert("gc.mark_workers".into(), 4);
         let text = report(&trace, None);
         assert!(text.contains("gc allocator"), "{text}");
         assert!(text.contains("fast-path allocations: 992 (99.2%)"), "{text}");
         assert!(text.contains("segment refills: 8"), "{text}");
-        assert!(text.contains("mark workers (max): 4"), "{text}");
     }
 
     #[test]

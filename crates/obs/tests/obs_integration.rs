@@ -20,7 +20,6 @@ fn disabled_mode_emits_nothing() {
         1,
         Instant::now(),
         Instant::now(),
-        0,
     );
     tetra_obs::vm_dispatch(0, 256, 0, tetra_obs::stack::ROOT);
     tetra_obs::metrics::counter_add("c", 1);
@@ -77,7 +76,7 @@ fn chrome_export_has_one_track_per_tetra_thread() {
     tetra_obs::thread_span(0, "main", t0);
     tetra_obs::thread_span(1, "parallel-1", t0);
     tetra_obs::thread_span(2, "parallel-2", t0);
-    tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, 1, start, Instant::now(), 0);
+    tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, 1, start, Instant::now());
     let trace = session::end();
     let json = chrome::export(&trace);
 
@@ -107,7 +106,7 @@ fn profile_report_covers_locks_and_gc() {
     tetra_obs::stmt(0, 3, tetra_obs::stack::ROOT);
     tetra_obs::lock_wait(0, "counter", 3, t0, tetra_obs::stack::ROOT);
     tetra_obs::lock_hold(0, "counter", t0, tetra_obs::stack::ROOT);
-    tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, 1, start, Instant::now(), 0);
+    tetra_obs::gc_phase(tetra_obs::GC_TID, tetra_obs::GcPhase::Pause, 1, start, Instant::now());
     let trace = session::end();
     let report = profile::report(&trace, None);
     assert!(report.contains("lock contention"), "{report}");

@@ -26,12 +26,9 @@
 //!   mutation of a frame between publications therefore cannot hide
 //!   objects, and a thread's publication costs O(frames + loop nesting),
 //!   not O(loop items).
-//! * Mark runs **in parallel** when it pays: the coordinator batches the
-//!   gathered root references into a shared work queue and `min(mutators,
-//!   cores)` workers (capped by `HeapConfig::gc_threads`) drain it,
-//!   donating half their local worklist back whenever it grows large. The
-//!   mark bit is an atomic swap, so two workers racing on one object agree
-//!   on a single winner.
+//! * Mark runs on the collector's own thread: one worklist, seeded with
+//!   the gathered root references, drained until empty. The world is
+//!   stopped, so no mutator competes for the mark bits.
 //! * Sweep runs per-segment: dead slots are dropped in place and returned
 //!   to their segment's free list, empty chunks are released, and the
 //!   live census per allocation site feeds the heap profiler.
@@ -78,10 +75,6 @@ pub struct HeapConfig {
     /// Collect on *every* allocation — a torture mode used by tests to
     /// surface missing-root bugs immediately.
     pub stress: bool,
-    /// Cap on parallel mark workers; 0 means "one per core". The effective
-    /// worker count is further limited by the number of registered
-    /// mutators (`min(mutators, cores)`).
-    pub gc_threads: usize,
 }
 
 impl Default for HeapConfig {
@@ -90,7 +83,6 @@ impl Default for HeapConfig {
             initial_threshold: 1 << 20, // 1 MiB
             min_threshold: 1 << 16,
             stress: false,
-            gc_threads: 0,
         }
     }
 }
@@ -120,7 +112,8 @@ pub struct GcStats {
     pub alloc_fast_path: u64,
     /// Allocations that had to grow their segment by one chunk first.
     pub segment_refills: u64,
-    /// Largest number of mark workers used by any single collection.
+    /// `collections.min(1)`: mark runs on one thread. Kept only for
+    /// perfbench's `gc.mark_workers` row, which reads it.
     pub mark_workers: u64,
 }
 
@@ -340,73 +333,12 @@ struct Ctrl {
     pool: Vec<SegmentRef>,
 }
 
-/// Batch size for the parallel-mark work queue; workers donate this many
-/// references back whenever their local stack doubles it.
-const MARK_BATCH: usize = 256;
-
-/// Root sets of fewer heap references than this are marked sequentially —
-/// spawning workers costs more than the marking itself.
-const PAR_MARK_MIN_ROOTS: usize = 64;
-
-struct MarkQueueState {
-    batches: Vec<Vec<GcRef>>,
-    /// Workers currently processing a batch (may still donate more).
-    active: usize,
-}
-
-/// Shared work queue for parallel marking. Termination: a worker exits when
-/// the queue is empty *and* no worker is mid-batch (nobody can donate more).
-struct MarkQueue {
-    state: Mutex<MarkQueueState>,
-    cv: Condvar,
-}
-
-impl MarkQueue {
-    fn run_worker(&self) {
-        loop {
-            let batch = {
-                let mut st = self.state.lock();
-                loop {
-                    if let Some(b) = st.batches.pop() {
-                        st.active += 1;
-                        break b;
-                    }
-                    if st.active == 0 {
-                        return;
-                    }
-                    self.cv.wait(&mut st);
-                }
-            };
-            let mut local = batch;
-            while let Some(r) = local.pop() {
-                // Atomic swap: exactly one worker wins each object.
-                if !r.set_mark(true) {
-                    r.object().trace_children(&mut |child| local.push(child));
-                    if local.len() >= 2 * MARK_BATCH {
-                        let donated = local.split_off(local.len() - MARK_BATCH);
-                        let mut st = self.state.lock();
-                        st.batches.push(donated);
-                        self.cv.notify_one();
-                    }
-                }
-            }
-            let mut st = self.state.lock();
-            st.active -= 1;
-            if st.active == 0 && st.batches.is_empty() {
-                self.cv.notify_all();
-            }
-        }
-    }
-}
-
 /// The shared garbage-collected heap.
 pub struct Heap {
     bytes: AtomicUsize,
     threshold: AtomicUsize,
     stress: AtomicBool,
     min_threshold: usize,
-    /// `HeapConfig::gc_threads`: cap on parallel mark workers (0 = cores).
-    gc_threads: usize,
     gc_flag: AtomicBool,
     ctrl: Mutex<Ctrl>,
     /// Collector waits here for mutators to park.
@@ -419,8 +351,6 @@ pub struct Heap {
     /// Allocations that grew their segment by a chunk; the fast-path count
     /// is derived as `allocations - segment_refills`.
     segment_refills: AtomicU64,
-    /// Max mark workers used by any single collection.
-    mark_workers: AtomicU64,
     pause_ns_total: AtomicU64,
     pause_ns_max: AtomicU64,
     mark_ns_total: AtomicU64,
@@ -434,7 +364,6 @@ impl Heap {
             threshold: AtomicUsize::new(config.initial_threshold.max(config.min_threshold)),
             stress: AtomicBool::new(config.stress),
             min_threshold: config.min_threshold,
-            gc_threads: config.gc_threads,
             gc_flag: AtomicBool::new(false),
             ctrl: Mutex::new(Ctrl::default()),
             cv_mutators: Condvar::new(),
@@ -443,7 +372,6 @@ impl Heap {
             collections: AtomicU64::new(0),
             objects_freed: AtomicU64::new(0),
             segment_refills: AtomicU64::new(0),
-            mark_workers: AtomicU64::new(0),
             pause_ns_total: AtomicU64::new(0),
             pause_ns_max: AtomicU64::new(0),
             mark_ns_total: AtomicU64::new(0),
@@ -648,9 +576,10 @@ impl Heap {
         let allocations = self.allocations.load(Ordering::Relaxed);
         let objects_freed = self.objects_freed.load(Ordering::Relaxed);
         let segment_refills = self.segment_refills.load(Ordering::Relaxed);
+        let collections = self.collections.load(Ordering::Relaxed);
         GcStats {
             allocations,
-            collections: self.collections.load(Ordering::Relaxed),
+            collections,
             objects_freed,
             live_objects: allocations.saturating_sub(objects_freed),
             live_bytes: self.bytes.load(Ordering::Relaxed) as u64,
@@ -660,7 +589,7 @@ impl Heap {
             sweep_us: ns_to_us_ceil(self.sweep_ns_total.load(Ordering::Relaxed)),
             alloc_fast_path: allocations.saturating_sub(segment_refills),
             segment_refills,
-            mark_workers: self.mark_workers.load(Ordering::Relaxed),
+            mark_workers: collections.min(1),
         }
     }
 
@@ -675,7 +604,6 @@ impl Heap {
         let s = self.stats();
         tetra_obs::metrics::counter_add("gc.alloc_fast_path", s.alloc_fast_path);
         tetra_obs::metrics::counter_add("gc.segment_refills", s.segment_refills);
-        tetra_obs::metrics::counter_add("gc.mark_workers", s.mark_workers);
     }
 
     // ---- internals ---------------------------------------------------------
@@ -719,16 +647,6 @@ impl Heap {
         self.pause_ns_max.fetch_max(pause_ns, Ordering::Relaxed);
     }
 
-    /// Decide how many mark workers a collection should use.
-    fn plan_mark_workers(&self, mutators: usize, root_count: usize) -> usize {
-        if root_count < PAR_MARK_MIN_ROOTS {
-            return 1;
-        }
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let cap = if self.gc_threads > 0 { self.gc_threads } else { cores };
-        mutators.min(cap).max(1)
-    }
-
     /// Become the collector (or park if someone else already is).
     fn collect(&self, m: &MutatorGuard, roots: &dyn RootSource) {
         debug_assert!(!m.in_safe_region.get(), "collection triggered inside a safe region");
@@ -762,54 +680,35 @@ impl Heap {
 
         // ---- world is stopped: mark ----
         let mark_start = Instant::now();
-        gc_phase(GC_TID, GcPhase::StwWait, collection, pause_start, mark_start, 0);
+        gc_phase(GC_TID, GcPhase::StwWait, collection, pause_start, mark_start);
         // Frames and snapshots are shared between threads (a `parallel`
         // block's children publish their parent's frames): trace each
-        // distinct one once.
-        let mut root_refs: Vec<GcRef> = Vec::new();
+        // distinct one once. The gathered roots seed the mark worklist.
+        let mut worklist: Vec<GcRef> = Vec::new();
         let mut traced = std::collections::HashSet::new();
         for slot in ctrl.slots.values() {
             let roots = &slot.roots;
-            root_refs.extend_from_slice(&roots.refs);
+            worklist.extend_from_slice(&roots.refs);
             for f in &roots.frames {
                 if traced.insert(Arc::as_ptr(f) as usize) {
-                    f.trace(&mut |r| root_refs.push(r));
+                    f.trace(&mut |r| worklist.push(r));
                 }
             }
             for s in &roots.snapshots {
                 if traced.insert(Arc::as_ptr(s) as usize) {
-                    s.trace(&mut |r| root_refs.push(r));
+                    s.trace(&mut |r| worklist.push(r));
                 }
             }
         }
-        let workers = self.plan_mark_workers(ctrl.slots.len(), root_refs.len());
-        if workers <= 1 {
-            let mut worklist = root_refs;
-            while let Some(r) = worklist.pop() {
-                if !r.set_mark(true) {
-                    r.object().trace_children(&mut |child| worklist.push(child));
-                }
+        while let Some(r) = worklist.pop() {
+            if !r.set_mark(true) {
+                r.object().trace_children(&mut |child| worklist.push(child));
             }
-        } else {
-            let batches: Vec<Vec<GcRef>> =
-                root_refs.chunks(MARK_BATCH).map(|c| c.to_vec()).collect();
-            let queue = MarkQueue {
-                state: Mutex::new(MarkQueueState { batches, active: 0 }),
-                cv: Condvar::new(),
-            };
-            std::thread::scope(|scope| {
-                for _ in 1..workers {
-                    scope.spawn(|| queue.run_worker());
-                }
-                // The coordinator is stopped anyway: put it to work too.
-                queue.run_worker();
-            });
         }
-        self.mark_workers.fetch_max(workers as u64, Ordering::Relaxed);
         let sweep_start = Instant::now();
         let mark_ns = (sweep_start - mark_start).as_nanos() as u64;
         self.mark_ns_total.fetch_add(mark_ns, Ordering::Relaxed);
-        gc_phase(GC_TID, GcPhase::Mark, collection, mark_start, sweep_start, workers as u32);
+        gc_phase(GC_TID, GcPhase::Mark, collection, mark_start, sweep_start);
 
         // ---- sweep, one segment at a time ----
         // Live-after-GC census per allocation site, taken while the sweep
@@ -824,7 +723,6 @@ impl Heap {
             .collect();
         let mut freed = 0u64;
         let mut freed_bytes = 0usize;
-        let segments_swept = segments.len() as u32;
         for cell in &segments {
             // SAFETY: every owner is parked or in a safe region and we hold
             // the ctrl lock, so the collector has exclusive segment access.
@@ -843,8 +741,8 @@ impl Heap {
         let pause_end = Instant::now();
         let sweep_ns = (pause_end - sweep_start).as_nanos() as u64;
         self.sweep_ns_total.fetch_add(sweep_ns, Ordering::Relaxed);
-        gc_phase(GC_TID, GcPhase::Sweep, collection, sweep_start, pause_end, segments_swept);
-        gc_phase(GC_TID, GcPhase::Pause, collection, pause_start, pause_end, 0);
+        gc_phase(GC_TID, GcPhase::Sweep, collection, sweep_start, pause_end);
+        gc_phase(GC_TID, GcPhase::Pause, collection, pause_start, pause_end);
         self.record_pause_ns((pause_end - pause_start).as_nanos() as u64);
 
         // ---- resume the world ----
@@ -913,12 +811,7 @@ mod tests {
     use tetra_intern::Symbol;
 
     fn test_heap(stress: bool) -> Arc<Heap> {
-        Heap::new(HeapConfig {
-            initial_threshold: 1 << 14,
-            min_threshold: 1 << 10,
-            stress,
-            ..HeapConfig::default()
-        })
+        Heap::new(HeapConfig { initial_threshold: 1 << 14, min_threshold: 1 << 10, stress })
     }
 
     struct VecRoots(Vec<Value>);
@@ -1053,7 +946,7 @@ mod tests {
                 sink.snapshot(&self.0);
             }
         }
-        let heap = Heap::new(HeapConfig { gc_threads: 4, ..HeapConfig::default() });
+        let heap = Heap::new(HeapConfig::default());
         let m = heap.register_mutator();
         let mut items = Vec::new();
         for i in 0..200 {
@@ -1069,8 +962,6 @@ mod tests {
         heap.collect_now(&m, &NoRoots);
         let s = heap.stats();
         assert_eq!((s.live_objects, s.objects_freed), (200, 1));
-        // 200 traced references pass the parallel gate.
-        assert!(s.mark_workers >= 2, "{s:?}");
         for (i, v) in snapshot.iter().step_by(2).enumerate() {
             assert_eq!(v.as_str(), Some(format!("item {i}").as_str()));
         }
@@ -1255,16 +1146,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mark_uses_multiple_workers() {
-        // Three spawned-state mutators (safe region, roots published) plus
-        // the coordinator: with gc_threads = 4 and enough roots, the plan
-        // must come out > 1 worker, and nothing may be lost.
-        let heap = Heap::new(HeapConfig {
-            initial_threshold: 1 << 20,
-            min_threshold: 1 << 10,
-            stress: false,
-            gc_threads: 4,
-        });
+    fn roots_spread_across_mutators_all_survive() {
+        // Three spawned-state mutators (safe region, roots published) and
+        // the collector each root a quarter of the arrays: every one must
+        // survive with its contents intact.
+        let heap = test_heap(false);
         let m = heap.register_mutator();
         let mut all = Vec::new();
         for i in 0..300 {
@@ -1275,33 +1161,26 @@ mod tests {
             );
             all.push(v);
         }
-        let third = all.len() / 3;
-        let g1 = heap.register_spawned(&VecRoots(all[..third].to_vec()));
-        let g2 = heap.register_spawned(&VecRoots(all[third..2 * third].to_vec()));
-        let g3 = heap.register_spawned(&VecRoots(all[2 * third..].to_vec()));
-        heap.collect_now(&m, &NoRoots);
+        let quarters: Vec<Vec<Value>> = all.chunks(all.len() / 4).map(<[_]>::to_vec).collect();
+        let g1 = heap.register_spawned(&VecRoots(quarters[0].clone()));
+        let g2 = heap.register_spawned(&VecRoots(quarters[1].clone()));
+        let g3 = heap.register_spawned(&VecRoots(quarters[2].clone()));
+        let _garbage = heap.alloc_str(&m, &VecRoots(all.clone()), "garbage");
+        heap.collect_now(&m, &VecRoots(quarters[3].clone()));
         let s = heap.stats();
-        assert_eq!(s.live_objects, 300, "parallel mark lost objects");
-        assert_eq!(s.mark_workers, 4);
+        assert_eq!((s.live_objects, s.objects_freed), (300, 1), "mark lost objects");
         for (i, v) in all.iter().enumerate() {
             if let Object::Array(items) = v.as_obj().unwrap().object() {
-                assert!(matches!(items.lock()[0], Value::Int(n) if n == i as i64));
+                let items = items.lock();
+                let i = i as i64;
+                assert!(
+                    matches!(items[..], [Value::Int(a), Value::Int(b)] if a == i && b == 2 * i)
+                );
             } else {
                 panic!("expected array");
             }
         }
         drop((g1, g2, g3));
-    }
-
-    #[test]
-    fn small_root_sets_mark_sequentially() {
-        let heap = Heap::new(HeapConfig { gc_threads: 4, ..HeapConfig::default() });
-        let m = heap.register_mutator();
-        let v = heap.alloc_str(&m, &NoRoots, "lone root");
-        heap.collect_now(&m, &VecRoots(vec![v]));
-        // Below PAR_MARK_MIN_ROOTS the plan stays at one worker.
-        assert_eq!(heap.stats().mark_workers, 1);
-        assert_eq!(v.as_str(), Some("lone root"));
     }
 
     #[test]

@@ -99,12 +99,7 @@ fn check(values: &[Value], models: &[Model]) {
 }
 
 fn run_ops(ops: &[Op], stress: bool) {
-    let heap = Heap::new(HeapConfig {
-        initial_threshold: 1 << 12,
-        min_threshold: 1 << 10,
-        stress,
-        ..HeapConfig::default()
-    });
+    let heap = Heap::new(HeapConfig { initial_threshold: 1 << 12, min_threshold: 1 << 10, stress });
     let m = heap.register_mutator();
     let mut values: Vec<Value> = Vec::new();
     let mut models: Vec<Model> = Vec::new();
