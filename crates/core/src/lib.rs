@@ -88,7 +88,8 @@ impl std::error::Error for CompileError {}
 /// either engine.
 #[derive(Debug)]
 pub struct Tetra {
-    typed: TypedProgram,
+    /// Shared with every interpreter run: a run copies nothing.
+    typed: Arc<TypedProgram>,
     source: String,
 }
 
@@ -107,7 +108,7 @@ impl Tetra {
             .map_err(|d| CompileError { diagnostics: vec![d], source: source.to_string() })?;
         let typed = tetra_types::check(program)
             .map_err(|diagnostics| CompileError { diagnostics, source: source.to_string() })?;
-        Ok(Tetra { typed, source: source.to_string() })
+        Ok(Tetra { typed: Arc::new(typed), source: source.to_string() })
     }
 
     /// The checked program (AST + type tables).
@@ -167,7 +168,7 @@ impl Tetra {
         let (folded, stats) = tetra_vm::fold_program(&self.typed.program);
         let typed = tetra_types::check(folded)
             .map_err(|diagnostics| CompileError { diagnostics, source: self.source.clone() })?;
-        Ok((Tetra { typed, source: self.source.clone() }, stats))
+        Ok((Tetra { typed: Arc::new(typed), source: self.source.clone() }, stats))
     }
 
     /// Run deterministically on the VM scheduler with default settings.

@@ -110,7 +110,7 @@ impl ThreadCtx<'_> {
                 // Root the snapshot by reference for the loop's duration.
                 let mark = self.loops.len();
                 self.loops.push(items.clone());
-                let (up, slot) = self.shared.typed.resolution.coord(*var_id);
+                let (up, slot) = self.typed.resolution.coord(*var_id);
                 let mut result = Ok(Flow::Normal);
                 for &item in items.iter() {
                     self.write_var(up, slot, item);
@@ -149,7 +149,7 @@ impl ThreadCtx<'_> {
                         // Bind the message and run the handler. Errors from
                         // spawned threads arrive here through their join.
                         let msg = self.alloc_string(e.message.clone());
-                        let (up, slot) = self.shared.typed.resolution.coord(*err_id);
+                        let (up, slot) = self.typed.resolution.coord(*err_id);
                         self.write_var(up, slot, msg);
                         self.exec_block(handler)
                     }
@@ -193,7 +193,7 @@ impl ThreadCtx<'_> {
     fn exec_assign(&mut self, target: &Target, op: AssignOp, value: &Expr) -> Result<(), Error> {
         match target {
             Target::Name { name, id, .. } => {
-                let (up, slot) = self.shared.typed.resolution.coord(*id);
+                let (up, slot) = self.typed.resolution.coord(*id);
                 self.assign_slot(*name, up, slot, op, value)
             }
             Target::Index { base, index, .. } => {
@@ -270,7 +270,7 @@ impl ThreadCtx<'_> {
         let tid = self.cell.id;
         let line = self.line;
         let shared = self.shared;
-        let lock = shared
+        let lock = self
             .typed
             .resolution
             .lock_index(stmt)
@@ -408,7 +408,7 @@ impl ThreadCtx<'_> {
         let spawn_node = self.current_stack_node();
         // The resolver's worker-frame layout puts the induction variable at
         // slot 0.
-        let layout = self.shared.typed.resolution.pfor_layout(stmt_id);
+        let layout = self.typed.resolution.pfor_layout(stmt_id);
         // Root the snapshot in the parent for the whole loop: no per-worker
         // item copies, and the ranges below are plain indices.
         let mark = self.loops.len();

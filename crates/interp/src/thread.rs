@@ -24,6 +24,7 @@ use tetra_runtime::{
     Env, ErrorKind, FrameRef, GcRef, MutatorGuard, Object, RootSink, RootSource, RuntimeError,
     SlotLayout, Snapshot, ThreadCell, ThreadState, Value,
 };
+use tetra_types::TypedProgram;
 
 /// Stack size for spawned Tetra threads: recursive tree-walking plus user
 /// recursion needs room.
@@ -40,10 +41,14 @@ pub(crate) type Error = Box<RuntimeError>;
 pub(crate) const MAX_CALL_DEPTH: u32 = 1000;
 
 pub(crate) struct ThreadCtx<'s> {
-    /// Borrowed, not cloned: a call copies this reference to keep its
-    /// `FuncDef` borrowed while the body runs, so no call writes the
-    /// program-wide reference count that every thread's accesses read.
+    /// Borrowed, not cloned, so no thread writes the program-wide
+    /// reference count that every thread's accesses read.
     pub shared: &'s Arc<Shared>,
+    /// `shared.typed`, borrowed once: every variable access and call reads
+    /// the program's side tables through it with no `Arc` to follow, and a
+    /// call copies this reference to keep its `FuncDef` borrowed while the
+    /// body runs.
+    pub typed: &'s TypedProgram,
     pub mutator: MutatorGuard,
     pub cell: Arc<ThreadCell>,
     /// Call stack of shared environments; last is the innermost shared
@@ -142,6 +147,7 @@ impl<'s> ThreadCtx<'s> {
         let cell = shared.threads.spawn(None, tetra_runtime::ThreadKind::Main);
         ThreadCtx {
             shared,
+            typed: &shared.typed,
             mutator,
             cell,
             env_stack: Vec::new(),
@@ -174,6 +180,7 @@ impl<'s> ThreadCtx<'s> {
         shared.heap.exit_spawn_region(&mutator);
         ThreadCtx {
             shared,
+            typed: &shared.typed,
             mutator,
             cell,
             env_stack: vec![env],
@@ -212,6 +219,7 @@ impl<'s> ThreadCtx<'s> {
     pub fn unpark(shared: &'s Arc<Shared>, parked: Parked) -> ThreadCtx<'s> {
         ThreadCtx {
             shared,
+            typed: &shared.typed,
             mutator: parked.mutator,
             cell: parked.cell,
             env_stack: vec![parked.env],

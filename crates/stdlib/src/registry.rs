@@ -206,7 +206,19 @@ impl Builtin {
         }
     }
 
-    /// All builtins (docs, completion, tests).
+    /// This builtin's position in [`Builtin::all`].
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The builtin at position `index` of [`Builtin::all`].
+    #[inline]
+    pub fn from_index(index: usize) -> Builtin {
+        Builtin::all()[index]
+    }
+
+    /// All builtins (docs, completion, tests), in declaration order.
     pub fn all() -> &'static [Builtin] {
         use Builtin::*;
         &[
@@ -227,6 +239,14 @@ mod tests {
     fn lookup_and_name_round_trip() {
         for b in Builtin::all() {
             assert_eq!(Builtin::lookup(b.name()), Some(*b), "{b:?}");
+        }
+    }
+
+    #[test]
+    fn index_round_trip() {
+        for (i, b) in Builtin::all().iter().enumerate() {
+            assert_eq!(b.index(), i, "{b:?}");
+            assert_eq!(Builtin::from_index(i), *b);
         }
     }
 

@@ -31,14 +31,67 @@ pub enum Callee {
     Builtin(Builtin),
 }
 
+/// Entry of a node that is no checked call.
+const NO_CALLEE: u32 = u32::MAX;
+/// Tag bit of a builtin entry; the low bits hold [`Builtin::index`].
+const BUILTIN_TAG: u32 = 1 << 31;
+
+/// The callee of every call expression, indexed by the call's `NodeId`
+/// like [`Resolution`]'s coordinates: one `u32` per node, so an engine's
+/// call site reads it with one indexed load and no hashing.
+#[derive(Debug, Clone, Default)]
+pub struct Callees {
+    /// A user function's index, [`BUILTIN_TAG`] plus a builtin's index, or
+    /// [`NO_CALLEE`].
+    table: Vec<u32>,
+}
+
+impl Callees {
+    fn new(node_count: u32) -> Callees {
+        Callees { table: vec![NO_CALLEE; node_count as usize] }
+    }
+
+    fn record(&mut self, call: NodeId, callee: Callee) {
+        self.table[call.0 as usize] = match callee {
+            Callee::User(idx) => u32::try_from(idx)
+                .ok()
+                .filter(|&idx| idx < BUILTIN_TAG)
+                .expect("a program has fewer than 2^31 functions"),
+            Callee::Builtin(b) => BUILTIN_TAG | b.index() as u32,
+        };
+    }
+
+    /// The callee of call expression `call`; `None` for any other node.
+    #[inline]
+    pub fn get(&self, call: NodeId) -> Option<Callee> {
+        decode(*self.table.get(call.0 as usize)?)
+    }
+
+    /// Every recorded callee, in node order.
+    pub fn values(&self) -> impl Iterator<Item = Callee> + '_ {
+        self.table.iter().filter_map(|&c| decode(c))
+    }
+}
+
+#[inline]
+fn decode(c: u32) -> Option<Callee> {
+    match c {
+        NO_CALLEE => None,
+        c if c & BUILTIN_TAG != 0 => {
+            Some(Callee::Builtin(Builtin::from_index((c & !BUILTIN_TAG) as usize)))
+        }
+        c => Some(Callee::User(c as usize)),
+    }
+}
+
 /// A type-checked program: the AST plus the side tables later stages use.
 #[derive(Debug, Clone)]
 pub struct TypedProgram {
     pub program: Program,
     /// Type of every expression, keyed by its `NodeId`.
     pub expr_types: HashMap<NodeId, Type>,
-    /// Resolution of every call expression, keyed by the call's `NodeId`.
-    pub callees: HashMap<NodeId, Callee>,
+    /// Resolution of every call expression, indexed by the call's `NodeId`.
+    pub callees: Callees,
     /// Inferred type of each local, keyed by (function index, name).
     pub var_types: HashMap<(usize, Symbol), Type>,
     /// Static (frame, slot) coordinates and frame layouts from the
@@ -90,7 +143,7 @@ struct Checker {
     sigs: HashMap<Symbol, FuncSig>,
     errors: Vec<Diagnostic>,
     expr_types: HashMap<NodeId, Type>,
-    callees: HashMap<NodeId, Callee>,
+    callees: Callees,
     var_types: HashMap<(usize, Symbol), Type>,
     // Per-function state:
     locals: HashMap<Symbol, Type>,
@@ -124,7 +177,7 @@ impl Checker {
             sigs,
             errors: Vec::new(),
             expr_types: HashMap::new(),
-            callees: HashMap::new(),
+            callees: Callees::new(program.node_count),
             var_types: HashMap::new(),
             locals: HashMap::new(),
             current_func: 0,
@@ -840,7 +893,7 @@ impl Checker {
                     ));
                 }
             }
-            self.callees.insert(e.id, Callee::User(index));
+            self.callees.record(e.id, Callee::User(index));
             return Ok(ret);
         }
         let _ = expected;
@@ -851,7 +904,7 @@ impl Checker {
             }
             return match check_builtin_call(b, &arg_types) {
                 Ok(ret) => {
-                    self.callees.insert(e.id, Callee::Builtin(b));
+                    self.callees.record(e.id, Callee::Builtin(b));
                     Ok(ret)
                 }
                 Err(msg) => Err(self.error(msg, e.span)),

@@ -12,7 +12,7 @@
 mod check;
 pub mod resolve;
 
-pub use check::{check, Callee, TypedProgram};
+pub use check::{check, Callee, Callees, TypedProgram};
 pub use resolve::Resolution;
 
 #[cfg(test)]

@@ -646,7 +646,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 }
             },
             ExprKind::Call { callee, args } => {
-                let Some(&resolved) = self.comp.typed.callees.get(&e.id) else {
+                let Some(resolved) = self.comp.typed.callees.get(e.id) else {
                     unreachable!(
                         "types::check records a callee for every call, not for `{callee}`"
                     );

@@ -489,18 +489,19 @@ impl VmThread {
                         break;
                     }
                     let (l, r) = (stack[len - 2], stack[len - 1]);
-                    // Scalar operands can neither allocate nor be GC-moved;
-                    // objects (string/array concat) go through step().
-                    if l.as_obj().is_some() || r.as_obj().is_some() {
-                        break;
-                    }
-                    match ops::binary(&octx, *op, l, r) {
-                        Ok(v) => {
-                            stack.truncate(len - 2);
-                            stack.push(v);
-                        }
-                        Err(_) => break, // re-raise via step() with a line
-                    }
+                    let v = match ops::scalar_binary(*op, l, r) {
+                        Some(v) => v,
+                        // Scalar operands can neither allocate nor be
+                        // GC-moved; objects (string/array concat) go
+                        // through step().
+                        None if l.as_obj().is_some() || r.as_obj().is_some() => break,
+                        None => match ops::binary(&octx, *op, l, r) {
+                            Ok(v) => v,
+                            Err(_) => break, // re-raise via step() with a line
+                        },
+                    };
+                    stack.truncate(len - 2);
+                    stack.push(v);
                 }
                 Instr::Neg => {
                     let Some(&v) = stack.last() else { break };

@@ -167,6 +167,116 @@ def main():
     assert_eq!(run_both(src), "assert failed: x > 5\nx is 3\n");
 }
 
+/// What a scalar parity row must do on both engines.
+enum Expect {
+    /// Print exactly this.
+    Out(&'static str),
+    /// Fail with exactly this message on this line, after printing the
+    /// same partial output.
+    Err(&'static str, u32),
+}
+
+/// Prelude of every parity row: `big` and `small` are the `i64` bounds,
+/// computed at run time. A row's body starts on line 4.
+const PARITY_PRELUDE: &str =
+    "def main():\n    big = 9223372036854775807\n    small = -9223372036854775807 - 1\n";
+
+/// Scalar operator parity: the interpreter's `int op int` fast path, the
+/// simulator's, and the general operator code all give the same value,
+/// or the same error text and line.
+const SCALAR_PARITY: &[(&str, &str, Expect)] = &[
+    ("add overflows at max", "    print(big + 1)\n", Expect::Err("integer overflow in `+`", 4)),
+    ("add overflows at min", "    print(small + -1)\n", Expect::Err("integer overflow in `+`", 4)),
+    ("sub overflows at min", "    print(small - 1)\n", Expect::Err("integer overflow in `-`", 4)),
+    ("sub overflows at max", "    print(big - -1)\n", Expect::Err("integer overflow in `-`", 4)),
+    ("mul overflows at max", "    print(big * 2)\n", Expect::Err("integer overflow in `*`", 4)),
+    ("mul overflows at min", "    print(small * -1)\n", Expect::Err("integer overflow in `*`", 4)),
+    ("min / -1", "    print(1)\n    print(small / -1)\n", Expect::Err("integer overflow in `/`", 5)),
+    ("min % -1", "    print(small % -1)\n", Expect::Err("integer overflow in `%`", 4)),
+    ("compound add overflows", "    x = big\n    x += 1\n", Expect::Err("integer overflow in `+`", 5)),
+    (
+        "index compound mul overflows",
+        "    a = [1, big]\n    a[1] *= 2\n",
+        Expect::Err("integer overflow in `*`", 5),
+    ),
+    (
+        "bounds stay in range",
+        "    print(big - 1 + 1, \" \", small + 1 - 1, \" \", big * 1, \" \", small / 1)\n    \
+         print(small % 2, \" \", big % -1, \" \", -7 / 2, \" \", -7 % 2, \" \", 7 / -2)\n",
+        Expect::Out(
+            "9223372036854775807 -9223372036854775808 9223372036854775807 -9223372036854775808\n\
+             0 0 -3 -1 -3\n",
+        ),
+    ),
+    (
+        "int comparisons at the bounds",
+        "    print(small < big, \" \", big <= big, \" \", small >= big, \" \", big > small)\n    \
+         print(big == big, \" \", big != small, \" \", small == small + 0)\n",
+        Expect::Out("true true false true\ntrue true true\n"),
+    ),
+    ("int / 0", "    x = 7\n    print(x / 0)\n", Expect::Err("7 / 0", 5)),
+    ("int % 0", "    x = 7\n    print(x % 0)\n", Expect::Err("7 % 0", 5)),
+    ("compound / 0", "    x = 7\n    x /= 0\n", Expect::Err("7 / 0", 5)),
+    ("real / 0", "    x = 7.5\n    print(x / 0)\n", Expect::Err("7.5 / 0.0", 5)),
+    ("real % 0.0", "    x = 7.5\n    print(x % 0.0)\n", Expect::Err("7.5 % 0.0", 5)),
+    ("int / 0.0", "    x = 7\n    print(x / 0.0)\n", Expect::Err("7 / 0.0", 5)),
+    (
+        "int and real mix",
+        "    print(7 / 2.0, \" \", 3 * 1.5, \" \", 1 + 0.5, \" \", 2 - 0.5, \" \", 7 % 2.5)\n    \
+         print(big + 0.0 > 0, \" \", 3 == 3.0, \" \", 3 != 3.5)\n",
+        Expect::Out("3.5 4.5 1.5 1.5 2.0\ntrue true true\n"),
+    ),
+    // Ordering a bool, or a number against a string, is a checker error
+    // (`tetra_types` tests `comparisons`), so the mix that reaches the
+    // engines is int against real.
+    (
+        "mixed-type ordering",
+        "    print(1 < 1.5, \" \", 2.0 > 1, \" \", 2 <= 2.0, \" \", 2.5 >= 3, \" \", small < 0.5)\n",
+        Expect::Out("true true true false true\n"),
+    ),
+    (
+        "real variable assigned an int stays real",
+        "    v = 1.5\n    v = 2\n    print(v, \" \", v / 4)\n    v = 3 * 4\n    v += 1\n    \
+         print(v)\n",
+        Expect::Out("2.0 0.5\n13.0\n"),
+    ),
+    (
+        "string + and comparison",
+        "    s = \"ab\"\n    t = s + \"cd\"\n    \
+         print(t, \" \", s < t, \" \", t < s, \" \", s == \"ab\", \" \", s != t)\n    \
+         print(\"b\" > \"abc\", \" \", s <= \"ab\", \" \", s >= \"b\")\n",
+        Expect::Out("abcd true false true true\ntrue true false\n"),
+    ),
+];
+
+#[test]
+fn scalar_operator_parity_table() {
+    use tetra::{BufferConsole, InterpConfig};
+    for (name, body, expect) in SCALAR_PARITY {
+        let src = format!("{PARITY_PRELUDE}{body}");
+        let p = Tetra::compile(&src).unwrap_or_else(|e| panic!("{name}:\n{}", e.render()));
+        let interp_console = BufferConsole::new();
+        let interp = p.run_with(InterpConfig::default(), interp_console.clone()).map(|_| ());
+        let vm_console = BufferConsole::new();
+        let vm = p.simulate(vm_console.clone()).map(|_| ());
+        let (interp_out, vm_out) = (interp_console.output(), vm_console.output());
+        assert_eq!(interp_out, vm_out, "{name}: the engines printed different output");
+        match expect {
+            Expect::Out(out) => {
+                interp.unwrap_or_else(|e| panic!("{name}: interpreter: {e}"));
+                vm.unwrap_or_else(|e| panic!("{name}: vm: {e}"));
+                assert_eq!(interp_out, *out, "{name}");
+            }
+            Expect::Err(message, line) => {
+                for (engine, r) in [("interpreter", interp), ("vm", vm)] {
+                    let e = r.expect_err(&format!("{name}: {engine} should fail"));
+                    assert_eq!((e.message.as_str(), e.line), (*message, *line), "{name}: {engine}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

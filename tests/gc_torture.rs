@@ -206,3 +206,52 @@ def churner():
     assert!(out.contains("read: hello"), "{out}");
     assert!(out.contains("churned"), "{out}");
 }
+
+/// Call arguments are rooted only by the caller's temporary stack until the
+/// callee's frame (or the builtin) takes them. Every argument here is a heap
+/// object, and each later argument allocates, so collections run while the
+/// earlier arguments live nowhere else.
+const HEAP_ARGUMENTS: &str = "\
+def describe(a [int], s string, d {string: int}, t (int, string)) string:
+    return str(a[0] + a[1]) + \":\" + s + \":\" + str(d[\"k\"]) + \":\" + t[1]
+
+def pair(n int) [int]:
+    return [n, n * 2]
+
+def churn(n int) string:
+    s = \"\"
+    j = 0
+    while j < 8:
+        s = str(n) + \".\" + str(j)
+        j += 1
+    return s
+
+def main():
+    out = fill(6, \"\")
+    parallel for i in [0 ... 5]:
+        label = describe(pair(i), churn(i), {\"k\": i * 3}, (i, churn(i + 10)))
+        joined = join([str(i), \"x\"], churn(i))
+        out[i] = label + \"/\" + joined
+    for line in out:
+        print(line)
+";
+
+#[test]
+fn call_arguments_survive_collections_at_t1_and_t2() {
+    let expected: String =
+        (0..6).map(|i| format!("{}:{i}.7:{}:{}.7/{i}{i}.7x\n", 3 * i, 3 * i, i + 10)).collect();
+    let stress = HeapConfig { stress: true, ..HeapConfig::default() };
+    let tiny = HeapConfig { initial_threshold: 1 << 12, min_threshold: 1 << 10, stress: false };
+    for gc in [stress, tiny] {
+        for threads in [1, 2] {
+            let p = Tetra::compile(HEAP_ARGUMENTS).unwrap_or_else(|e| panic!("{}", e.render()));
+            let console = BufferConsole::new();
+            let config =
+                InterpConfig { gc: gc.clone(), worker_threads: threads, ..Default::default() };
+            let stats = p.run_with(config, console.clone()).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(console.output(), expected, "T={threads} {gc:?}");
+            assert!(stats.gc.collections >= 6, "T={threads} {gc:?}: {:?}", stats.gc);
+        }
+    }
+    assert_eq!(run_stress_vm(HEAP_ARGUMENTS), expected);
+}
