@@ -10,10 +10,11 @@ tetra — the Tetra educational parallel programming language
 USAGE:
   tetra run <file.tet> [--threads N] [--gc-stress] [--gc-stats]
                        [--no-detect] [--trace out.json] [--metrics] [--heap-profile]
-  tetra profile <file.tet> [--threads N] [--flame out.folded]
+  tetra profile <file.tet> [--threads N] [--flame out.folded] [--sim [--gil] [--static-chunks]]
                                     run with tracing and print a profile report
                                     (--flame also writes collapsed stacks for
-                                    flame-graph tools)
+                                    flame-graph tools; --sim profiles the
+                                    virtual-time simulator instead)
   tetra check <file.tet>            parse + type-check only
   tetra tokens <file.tet>           dump the token stream
   tetra ast <file.tet>              dump the AST
@@ -44,6 +45,8 @@ struct Opts {
     no_detect: bool,
     /// Static chunking instead of guided self-scheduling (sim only).
     static_chunks: bool,
+    /// `tetra profile`: run the simulator instead of the interpreter.
+    sim: bool,
     fold: bool,
     trace: Option<String>,
     metrics: bool,
@@ -62,6 +65,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         gc_stats: false,
         no_detect: false,
         static_chunks: false,
+        sim: false,
         fold: false,
         trace: None,
         metrics: false,
@@ -103,6 +107,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--gc-stats" => o.gc_stats = true,
             "--no-detect" => o.no_detect = true,
             "--static-chunks" => o.static_chunks = true,
+            "--sim" => o.sim = true,
             "--fold" => o.fold = true,
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}`\n\n{USAGE}"))
@@ -255,10 +260,13 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn profile(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
-    let config = interp_config(&o)?;
+    let config = if o.sim { None } else { Some(interp_config(&o)?) };
     let (program, src) = compile_file(need_file(&o)?)?;
     tetra::obs::session::begin(tetra::obs::session::Config::default());
-    let result = program.run_with(config, Arc::new(StdConsole));
+    let result = match config {
+        Some(config) => program.run_with(config, Arc::new(StdConsole)).map(|_| ()),
+        None => program.simulate_with(sim_config(&o), Arc::new(StdConsole)).map(|_| ()),
+    };
     let trace = tetra::obs::session::end();
     // Report even when the program failed: the trace up to the error is
     // usually exactly what the user wants to see.
@@ -270,7 +278,7 @@ fn profile(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write flame output to `{out}`: {e}"))?;
         eprintln!("flame: collapsed stacks written to {out} (flamegraph.pl / speedscope)");
     }
-    result.map(|_| ()).map_err(|e| e.to_string())
+    result.map_err(|e| e.to_string())
 }
 
 fn check(args: &[String]) -> Result<(), String> {
@@ -337,15 +345,20 @@ fn disasm(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn sim(args: &[String]) -> Result<(), String> {
-    let o = parse_opts(args)?;
-    let (program, _) = compile_file(need_file(&o)?)?;
-    let cfg = VmConfig {
+/// The simulator options of `tetra sim` and `tetra profile --sim`.
+fn sim_config(o: &Opts) -> VmConfig {
+    VmConfig {
         workers: o.threads.unwrap_or(4),
         dynamic_chunking: !o.static_chunks,
         cost: tetra::vm::CostModel { gil: o.gil, ..Default::default() },
         ..VmConfig::default()
-    };
+    }
+}
+
+fn sim(args: &[String]) -> Result<(), String> {
+    let o = parse_opts(args)?;
+    let (program, _) = compile_file(need_file(&o)?)?;
+    let cfg = sim_config(&o);
     let result = observed(&o, || program.simulate_with(cfg, Arc::new(StdConsole)))?;
     let stats = result.map_err(|e| e.to_string())?;
     eprintln!(

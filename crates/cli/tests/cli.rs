@@ -102,6 +102,24 @@ fn sim_prints_virtual_time_stats() {
 }
 
 #[test]
+fn profile_sim_reports_closed_form_charges() {
+    let out = tetra()
+        .arg("profile")
+        .arg(examples_dir().join("primes.tet"))
+        .args(["--sim", "--threads", "4"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "primes below 20000: 2262\n");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("-- vm dispatch --"), "{err}");
+    let line = err.lines().find(|l| l.starts_with("closed-form charges: ")).expect(&err);
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let (closed, simulated): (u64, u64) = (words[2].parse().unwrap(), words[4].parse().unwrap());
+    assert!(closed * 2 > simulated, "four balanced workers charge mostly in rounds: {line}");
+}
+
+#[test]
 fn trace_reports_races() {
     let out = tetra()
         .arg("trace")

@@ -13,7 +13,8 @@
 //! * allocation sites (allocs, bytes, live-after-last-GC) when heap
 //!   profiling ran;
 //! * a GC pause summary with per-phase breakdown;
-//! * VM dispatch totals when the program ran on the bytecode VM.
+//! * VM dispatch totals when the program ran on the bytecode VM, with the
+//!   share of instruction charges the simulator applied in closed form.
 
 use crate::event::EventKind;
 use crate::flame;
@@ -375,6 +376,20 @@ pub fn report(trace: &Trace, source_lines: Option<&[String]>) -> String {
             instructions,
             fmt_ns(batches.total_ns)
         ));
+        // Counters flushed once per run by the simulator: how many of its
+        // instruction charges whole rounds applied in closed form instead
+        // of one pick each (sched.rs).
+        let simulated = trace.metrics.counters.get("sim.instructions").copied().unwrap_or(0);
+        if simulated > 0 {
+            let closed =
+                trace.metrics.counters.get("sim.closed_form_charges").copied().unwrap_or(0);
+            out.push_str(&format!(
+                "closed-form charges: {} of {} simulated instructions ({:.1}%)\n",
+                closed,
+                simulated,
+                100.0 * closed as f64 / simulated as f64
+            ));
+        }
     }
 
     out

@@ -463,7 +463,7 @@ impl Heap {
             slot.roots = sink;
         }
         // A collector may be waiting for this mutator to stop running.
-        self.cv_mutators.notify_all();
+        self.notify_collector(&ctrl);
     }
 
     /// Cheap safepoint: parks the thread iff a collection has been requested.
@@ -551,7 +551,7 @@ impl Heap {
             slot.safe_region = true;
             slot.roots = sink;
             // A collector may be waiting for this thread to stop running.
-            self.cv_mutators.notify_all();
+            self.notify_collector(&ctrl);
         }
         m.in_safe_region.set(true);
         let result = f();
@@ -768,7 +768,18 @@ impl Heap {
         // slot satisfies its predicate, so wake it. (This is what makes
         // exiting while `gc_flag` is raised safe: the coordinator re-checks
         // the slot map and stops waiting on the departed mutator.)
-        self.cv_mutators.notify_all();
+        self.notify_collector(&ctrl);
+    }
+
+    /// Wake a collector waiting for mutators to stop, if there is one. The
+    /// collector sets `gc_requested` under the control lock before it
+    /// waits, and the caller holds that lock, so with the flag clear no
+    /// collector can be waiting — and an unconditional notify would be a
+    /// futex syscall for nothing.
+    fn notify_collector(&self, ctrl: &Ctrl) {
+        if ctrl.gc_requested {
+            self.cv_mutators.notify_all();
+        }
     }
 }
 

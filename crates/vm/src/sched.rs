@@ -6,7 +6,9 @@
 //! reproducible on any host, whatever its core count. A thread may
 //! *execute* thread-private instructions ahead of that order (see the main
 //! loop); their charges still land where the per-instruction schedule puts
-//! them.
+//! them. While every runnable thread holds such banked charges, whole
+//! rounds of them are applied in closed form ([`charge_rounds`]), again
+//! exactly as the per-instruction schedule would apply them one by one.
 //!
 //! Virtual time models the paper's own explanation of its 62.5 % efficiency:
 //! "the sharing of data structures amongst interpreter threads" (§IV).
@@ -19,7 +21,7 @@
 //! The GIL mode charges the entire cost through the shared resource,
 //! which pins speedup at ≈1× — the Python contrast of paper §I.
 
-use crate::bytecode::CompiledProgram;
+use crate::bytecode::{CompiledProgram, Const};
 use crate::vm::{CostClass, Feed, FeedShare, Outcome, Registry, Table, VmState, VmThread, World};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -109,6 +111,62 @@ impl CostModel {
 /// Most instructions one thread runs per dispatch, or ahead of its clock.
 const QUANTUM: u32 = 256;
 
+/// One runnable thread's clock and banked credit, as [`charge_rounds`]
+/// sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Banked {
+    vtime: u64,
+    id: u32,
+    credit: u32,
+    /// `vtime` when the current round began.
+    start: u64,
+    /// Charged once in the current round.
+    charged: bool,
+}
+
+impl Banked {
+    fn new(id: u32, vtime: u64, credit: u32) -> Banked {
+        Banked { vtime, id, credit, start: vtime, charged: false }
+    }
+}
+
+/// Charge banked credit of `banked` — every runnable thread, each holding
+/// credit — exactly as successive picks of the smallest `(vtime, id)`
+/// would, and return how many charges were applied in closed form.
+///
+/// One round of picks is charged one by one. If it charged each thread
+/// once and moved every clock and `runtime_free` by the same Δ, the next
+/// round repeats it shifted by Δ: [`CostModel::charge`] depends only on
+/// clock differences, and ties break by id. So the `m` rounds that the
+/// smallest remaining credit still covers are applied at once. A round
+/// that would charge a thread twice stops before doing so; the charges
+/// made so far stand, and the next pick goes on from them.
+fn charge_rounds(cost: &CostModel, banked: &mut [Banked], runtime_free: &mut u64) -> u64 {
+    debug_assert!(banked.iter().all(|b| b.credit > 0 && !b.charged));
+    let free_start = *runtime_free;
+    for _ in 0..banked.len() {
+        let b = banked.iter_mut().min_by_key(|b| (b.vtime, b.id)).expect("runnable threads");
+        if b.charged {
+            return 0;
+        }
+        b.charged = true;
+        b.credit -= 1;
+        cost.charge(&mut b.vtime, runtime_free, CostClass::Basic);
+    }
+    let delta = *runtime_free - free_start;
+    if banked.iter().any(|b| b.vtime - b.start != delta) {
+        return 0;
+    }
+    let rounds = banked.iter().map(|b| b.credit).min().unwrap_or(0);
+    let shift = u64::from(rounds) * delta;
+    for b in banked.iter_mut() {
+        b.vtime += shift;
+        b.credit -= rounds;
+    }
+    *runtime_free += shift;
+    u64::from(rounds) * banked.len() as u64
+}
+
 /// The [`World`] view of a scheduler's fields, built from disjoint field
 /// borrows so a thread in `threads` can be stepped mutably beside it.
 macro_rules! world {
@@ -172,6 +230,14 @@ struct SimLock {
     waiters: Vec<u32>,
 }
 
+/// The name of the lock whose name is string constant `lock`.
+fn lock_name(program: &CompiledProgram, lock: u16) -> &str {
+    match &program.consts[lock as usize] {
+        Const::Str(name) => name,
+        other => unreachable!("lock name constant must be a string, got {other:?}"),
+    }
+}
+
 /// Run a compiled program deterministically, returning stats.
 pub fn run(
     program: &CompiledProgram,
@@ -196,12 +262,18 @@ struct Scheduler<'p> {
     live: Vec<u32>,
     /// Live `background:` threads. While any runs, nobody runs ahead.
     live_background: u32,
-    locks: HashMap<String, SimLock>,
+    /// Simulated locks, keyed by the lock name's constant index (lock
+    /// names are string constants, deduplicated by value).
+    locks: HashMap<u16, SimLock>,
     /// Shared-runtime resource availability (virtual time).
     runtime_free: u64,
     next_id: u32,
     lock_contentions: u64,
     instructions: u64,
+    /// Reused buffer of the runnable threads for [`charge_rounds`].
+    banked: Vec<Banked>,
+    /// Instruction charges applied in closed form by [`charge_rounds`].
+    closed_form_charges: u64,
 }
 
 impl<'p> Scheduler<'p> {
@@ -224,6 +296,8 @@ impl<'p> Scheduler<'p> {
             next_id: 0,
             lock_contentions: 0,
             instructions: 0,
+            banked: Vec::new(),
+            closed_form_charges: 0,
         }
     }
 
@@ -264,22 +338,18 @@ impl<'p> Scheduler<'p> {
         self.new_thread(None, main_unit, locals, Vec::new(), 0, main_node);
 
         loop {
-            let Some((tid, runnable)) = self.pick() else {
+            let Some((tid, runnable, all_banked)) = self.pick() else {
                 if self.live.is_empty() {
                     break;
                 }
                 // Deadlock (or a join that can never complete): raise into
                 // the first blocked thread — a `try:` there can catch it,
                 // mirroring the interpreter's detect-at-acquire behaviour.
-                let blocked: Vec<(u32, String)> = self
-                    .threads
-                    .iter()
-                    .filter_map(|t| match &t.state {
-                        VmState::BlockedLock(name) => Some((t.id, name.clone())),
-                        _ => None,
-                    })
-                    .collect();
-                let Some((victim, want)) = blocked.first().cloned() else {
+                let blocked = self.threads.iter().find_map(|t| match t.state {
+                    VmState::BlockedLock(lock) => Some((t.id, lock)),
+                    _ => None,
+                });
+                let Some((victim, want)) = blocked else {
                     return Err(self.stuck_error());
                 };
                 let err = RuntimeError::new(ErrorKind::Deadlock, self.stuck_error().message, 0);
@@ -299,8 +369,10 @@ impl<'p> Scheduler<'p> {
             // private instruction (`step_quantum`) commutes with every
             // other thread's work, so it may run *ahead* of its charge: the
             // thread banks the surplus as credit and later picks charge it
-            // without dispatching. Each charge still lands exactly where
-            // the per-instruction schedule puts it, and every other
+            // without dispatching. While every runnable thread holds
+            // credit, `charge_rounds` charges whole rounds of those picks
+            // at once. Each charge still lands exactly where the
+            // per-instruction schedule puts it, and every other
             // instruction still executes only once all of its thread's
             // earlier instructions are charged. A live `background:` child
             // is the one runnable thread that can read another runnable
@@ -309,6 +381,10 @@ impl<'p> Scheduler<'p> {
             // in bulk and the thread runs a whole quantum.
             let idx = tid as usize;
             if runnable > 1 {
+                if all_banked {
+                    self.charge_banked();
+                    continue;
+                }
                 let t = &mut self.threads[idx];
                 if t.credit > 0 {
                     t.credit -= 1;
@@ -330,6 +406,8 @@ impl<'p> Scheduler<'p> {
         // One flush at end of simulation, mirroring the interpreter: the
         // metrics registry's lock must stay off the allocation path.
         self.heap.publish_metrics();
+        tetra_obs::metrics::counter_add("sim.instructions", self.instructions);
+        tetra_obs::metrics::counter_add("sim.closed_form_charges", self.closed_form_charges);
         Ok(SimStats {
             virtual_elapsed: self.threads.iter().map(|t| t.vtime).max().unwrap_or(0),
             instructions: self.instructions,
@@ -340,21 +418,41 @@ impl<'p> Scheduler<'p> {
     }
 
     /// The runnable thread with the smallest `(vtime, id)` (ties by id →
-    /// fully deterministic), with the number of runnable threads.
-    fn pick(&self) -> Option<(u32, u32)> {
+    /// fully deterministic), with the number of runnable threads and
+    /// whether every one of them holds credit.
+    fn pick(&self) -> Option<(u32, u32, bool)> {
         let mut runnable = 0u32;
+        let mut all_banked = true;
         let mut best: Option<(u64, u32)> = None;
         for &id in &self.live {
             let t = &self.threads[id as usize];
             if matches!(t.state, VmState::Runnable) {
                 runnable += 1;
+                all_banked &= t.credit > 0;
                 let key = (t.vtime, id);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
             }
         }
-        best.map(|(_, id)| (id, runnable))
+        best.map(|(_, id)| (id, runnable, all_banked))
+    }
+
+    /// Every runnable thread holds credit: charge it in rounds, gathered
+    /// into the reused `banked` buffer (see [`charge_rounds`]).
+    fn charge_banked(&mut self) {
+        self.banked.clear();
+        self.banked.extend(self.live.iter().filter_map(|&id| {
+            let t = &self.threads[id as usize];
+            matches!(t.state, VmState::Runnable).then(|| Banked::new(id, t.vtime, t.credit))
+        }));
+        self.closed_form_charges +=
+            charge_rounds(&self.config.cost, &mut self.banked, &mut self.runtime_free);
+        for b in &self.banked {
+            let t = &mut self.threads[b.id as usize];
+            t.vtime = b.vtime;
+            t.credit = b.credit;
+        }
     }
 
     /// Run `tid` ahead of its virtual clock: execute up to a quantum of
@@ -566,9 +664,10 @@ impl<'p> Scheduler<'p> {
                 }
                 Ok(())
             }
-            Outcome::WantLock { name, line } => {
+            Outcome::WantLock { lock, line } => {
                 let acquire_node = self.thread(tid).current_shadow_node();
-                let entry = self.locks.entry(name.clone()).or_insert(SimLock {
+                let name = lock_name(self.program, lock);
+                let entry = self.locks.entry(lock).or_insert(SimLock {
                     holder: None,
                     holder_line: 0,
                     held_since_ns: 0,
@@ -590,8 +689,8 @@ impl<'p> Scheduler<'p> {
                         } else {
                             (acquired_ns, line)
                         };
-                        tetra_obs::lock_wait(tid, &name, wait_line, wait_start, acquire_node);
-                        t.held_locks.push(name);
+                        tetra_obs::lock_wait(tid, name, wait_line, wait_start, acquire_node);
+                        t.held_locks.push(lock);
                         t.advance_ip();
                         Ok(())
                     }
@@ -615,28 +714,29 @@ impl<'p> Scheduler<'p> {
                         self.lock_contentions += 1;
                         let t = self.thread(tid);
                         t.block_start = (tetra_obs::now_ns(), line);
-                        t.state = VmState::BlockedLock(name);
+                        t.state = VmState::BlockedLock(lock);
                         Ok(())
                     }
                 }
             }
-            Outcome::Unlocked { name } => {
+            Outcome::Unlocked { lock } => {
                 let t = self.thread(tid);
-                if let Some(pos) = t.held_locks.iter().rposition(|l| *l == name) {
+                if let Some(pos) = t.held_locks.iter().rposition(|&l| l == lock) {
                     t.held_locks.remove(pos);
                 }
-                self.release_lock(tid, &name);
+                self.release_lock(tid, lock);
                 Ok(())
             }
         }
     }
 
-    /// Release `name` held by `tid` and wake its waiters.
-    fn release_lock(&mut self, tid: u32, name: &str) {
+    /// Release `lock` held by `tid` and wake its waiters.
+    fn release_lock(&mut self, tid: u32, lock: u16) {
         let release_time = self.thread(tid).vtime;
-        if let Some(entry) = self.locks.get_mut(name) {
+        if let Some(entry) = self.locks.get_mut(&lock) {
             debug_assert_eq!(entry.holder, Some(tid));
             entry.holder = None;
+            let name = lock_name(self.program, lock);
             tetra_obs::lock_hold(tid, name, entry.held_since_ns, entry.holder_node);
             let waiters = std::mem::take(&mut entry.waiters);
             for w in waiters {
@@ -658,9 +758,9 @@ impl<'p> Scheduler<'p> {
         match handler {
             Some(h) => {
                 // Release locks acquired after the try was entered.
-                let to_release: Vec<String> = self.thread(tid).held_locks.split_off(h.locks_mark);
-                for name in to_release.iter().rev() {
-                    self.release_lock(tid, name);
+                let to_release = self.thread(tid).held_locks.split_off(h.locks_mark);
+                for &lock in to_release.iter().rev() {
+                    self.release_lock(tid, lock);
                 }
                 // Materialize the message; the handler's first instruction
                 // stores it into the catch variable.
@@ -680,9 +780,9 @@ impl<'p> Scheduler<'p> {
             }
             None => {
                 // Release everything the thread still holds.
-                let to_release: Vec<String> = std::mem::take(&mut self.thread(tid).held_locks);
-                for name in to_release.iter().rev() {
-                    self.release_lock(tid, name);
+                let to_release = std::mem::take(&mut self.thread(tid).held_locks);
+                for &lock in to_release.iter().rev() {
+                    self.release_lock(tid, lock);
                 }
                 let (parent, background) = {
                     let t = self.thread(tid);
@@ -796,10 +896,12 @@ impl<'p> Scheduler<'p> {
         let blocked: Vec<String> = self
             .threads
             .iter()
-            .filter_map(|t| match &t.state {
-                VmState::BlockedLock(name) => {
-                    Some(format!("thread {} waits for lock `{name}`", t.id))
-                }
+            .filter_map(|t| match t.state {
+                VmState::BlockedLock(lock) => Some(format!(
+                    "thread {} waits for lock `{}`",
+                    t.id,
+                    lock_name(self.program, lock)
+                )),
                 _ => None,
             })
             .collect();
@@ -815,6 +917,136 @@ impl<'p> Scheduler<'p> {
                 format!("deadlock: {}", blocked.join(", which is held while ")),
                 0,
             )
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The default model, the GIL, no serialized cost, and a model that
+    /// charges nothing — under which every round moves all clocks by the
+    /// same Δ = 0 even when it picks one thread throughout.
+    fn cost_model(which: u8) -> CostModel {
+        let default = CostModel::default();
+        match which {
+            0 => default,
+            1 => CostModel { gil: true, ..default },
+            2 => CostModel { instr_serial: 0, ..default },
+            _ => CostModel { instr_parallel: 0, instr_serial: 0, ..default },
+        }
+    }
+
+    fn clocks(threads: &[Banked]) -> Vec<(u64, u32, u32)> {
+        threads.iter().map(|b| (b.vtime, b.id, b.credit)).collect()
+    }
+
+    /// Charge up to `n` picks one by one, the smallest `(vtime, id)`
+    /// first, stopping at a pick of a thread without credit. Returns the
+    /// charges made.
+    fn charge_picks(cost: &CostModel, threads: &mut [Banked], free: &mut u64, n: u64) -> u64 {
+        for charged in 0..n {
+            let b = threads.iter_mut().min_by_key(|b| (b.vtime, b.id)).unwrap();
+            if b.credit == 0 {
+                return charged;
+            }
+            b.credit -= 1;
+            cost.charge(&mut b.vtime, free, CostClass::Basic);
+        }
+        n
+    }
+
+    /// The scheduler's credit path until a pick lands on a thread without
+    /// credit: `charge_rounds` while every thread holds credit, one charge
+    /// per pick otherwise. Each `charge_rounds` call is checked against
+    /// the same number of single picks. Returns the charges applied in
+    /// closed form.
+    fn drain_in_rounds(
+        cost: &CostModel,
+        threads: &mut [Banked],
+        free: &mut u64,
+    ) -> Result<u64, TestCaseError> {
+        let mut closed_form = 0;
+        loop {
+            if threads.iter().all(|b| b.credit > 0) {
+                for b in threads.iter_mut() {
+                    *b = Banked::new(b.id, b.vtime, b.credit);
+                }
+                let (mut expected, mut expected_free) = (threads.to_vec(), *free);
+                let credit = |ts: &[Banked]| ts.iter().map(|b| u64::from(b.credit)).sum::<u64>();
+                let before = credit(threads);
+                closed_form += charge_rounds(cost, threads, free);
+                let charged = before - credit(threads);
+                prop_assert!(charged > 0, "a call must charge at least one pick");
+                prop_assert_eq!(
+                    charge_picks(cost, &mut expected, &mut expected_free, charged),
+                    charged
+                );
+                prop_assert_eq!(clocks(threads), clocks(&expected));
+                prop_assert_eq!(*free, expected_free);
+            } else if charge_picks(cost, threads, free, 1) == 0 {
+                return Ok(closed_form);
+            }
+        }
+    }
+
+    /// `n` threads with ids in a scrambled order (as `live` holds them
+    /// after `swap_remove`), clocks `base + offset`.
+    fn state(base: u64, threads: &[(u64, u32)]) -> Vec<Banked> {
+        threads
+            .iter()
+            .enumerate()
+            .map(|(i, &(offset, credit))| Banked::new(i as u32 * 37 % 71, base + offset, credit))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Closed-form rounds leave exactly the clocks, credits and
+        /// `runtime_free` that charging one pick at a time leaves.
+        #[test]
+        fn closed_form_rounds_match_per_pick_charging(
+            threads in prop::collection::vec((0u64..48, 0u32..=300), 2..71),
+            base in 0u64..1_000_000,
+            free_offset in 0u64..96,
+            model in 0u8..4,
+        ) {
+            let cost = cost_model(model);
+            let free = (base + free_offset).saturating_sub(48);
+            let (mut per_pick, mut per_pick_free) = (state(base, &threads), free);
+            charge_picks(&cost, &mut per_pick, &mut per_pick_free, u64::MAX);
+            let (mut rounds, mut rounds_free) = (state(base, &threads), free);
+            drain_in_rounds(&cost, &mut rounds, &mut rounds_free)?;
+            prop_assert_eq!(clocks(&rounds), clocks(&per_pick));
+            prop_assert_eq!(rounds_free, per_pick_free);
+        }
+    }
+
+    /// Threads in lockstep are charged mostly in closed form under the
+    /// default and the GIL model, with the per-pick result. (Without a
+    /// serialized cost `runtime_free` stays put while the clocks move, so
+    /// no round repeats: every charge is a single pick.)
+    #[test]
+    fn lockstep_threads_are_charged_in_closed_form() {
+        let threads = [(0, 50), (0, 80), (3, 120), (1, 300), (2, 255)];
+        for model in 0..2 {
+            let cost = cost_model(model);
+            let (mut per_pick, mut per_pick_free) = (state(1_000, &threads), 900);
+            charge_picks(&cost, &mut per_pick, &mut per_pick_free, u64::MAX);
+            let (mut rounds, mut rounds_free) = (state(1_000, &threads), 900);
+            let closed_form = drain_in_rounds(&cost, &mut rounds, &mut rounds_free).unwrap();
+            assert_eq!(clocks(&rounds), clocks(&per_pick), "model {model}");
+            assert_eq!(rounds_free, per_pick_free, "model {model}");
+            let charged = u64::from(
+                50 + 80 + 120 + 300 + 255 - clocks(&rounds).iter().map(|c| c.2).sum::<u32>(),
+            );
+            assert!(
+                closed_form * 2 > charged,
+                "model {model}: {closed_form} of {charged} in closed form"
+            );
         }
     }
 }

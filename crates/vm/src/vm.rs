@@ -118,7 +118,8 @@ pub struct VmFrame {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmState {
     Runnable,
-    BlockedLock(String),
+    /// Waiting for the lock named by this string constant.
+    BlockedLock(u16),
     /// Waiting for these child thread ids to finish.
     Joining(Vec<u32>),
     Done,
@@ -215,8 +216,9 @@ pub struct VmThread {
     pub credit: u32,
     /// Installed `try:` handlers, innermost last.
     pub handlers: Vec<Handler>,
-    /// Lock names this thread currently holds, in acquisition order.
-    pub held_locks: Vec<String>,
+    /// Locks this thread currently holds (their names' constant
+    /// indices), in acquisition order.
+    pub held_locks: Vec<u16>,
     /// An uncaught error (delivered to the joining parent, or reported at
     /// program end for background threads).
     pub error: Option<RuntimeError>,
@@ -259,14 +261,15 @@ pub enum Outcome {
         thunk: u16,
         items: Vec<Value>,
     },
-    /// The thread wants this lock; its ip was *not* advanced.
+    /// The thread wants the lock named by string constant `lock`; its ip
+    /// was *not* advanced.
     WantLock {
-        name: String,
+        lock: u16,
         line: u32,
     },
-    /// The thread released this lock.
+    /// The thread released the lock named by string constant `lock`.
     Unlocked {
-        name: String,
+        lock: u16,
     },
     /// The outermost frame returned; the thread is finished (unless its
     /// feed has more items).
@@ -837,17 +840,11 @@ impl VmThread {
                 }
             }
             Instr::EnterLock(c) => {
-                let Const::Str(name) = &program.consts[c as usize] else {
-                    unreachable!("lock name constant must be a string");
-                };
-                outcome = Outcome::WantLock { name: name.clone(), line };
+                outcome = Outcome::WantLock { lock: c, line };
                 advance = false; // scheduler advances on successful acquire
             }
             Instr::ExitLock(c) => {
-                let Const::Str(name) = &program.consts[c as usize] else {
-                    unreachable!("lock name constant must be a string");
-                };
-                outcome = Outcome::Unlocked { name: name.clone() };
+                outcome = Outcome::Unlocked { lock: c };
             }
             Instr::Parallel(thunks) => {
                 outcome = Outcome::Spawn { thunks, join: true };
