@@ -85,6 +85,10 @@ fn tokens_ast_pretty_disasm_render() {
     let text = String::from_utf8_lossy(&disasm.stdout);
     assert!(text.contains("parallel [") || text.contains("parallel ["), "{text}");
     assert!(text.contains("func"), "{text}");
+    let locked = tetra().arg("disasm").arg(examples_dir().join("counter.tet")).output().unwrap();
+    let text = String::from_utf8_lossy(&locked.stdout);
+    assert!(text.contains("lock.enter \"c\""), "the lock's name, not its index:\n{text}");
+    assert!(text.contains("lock.exit \"c\""), "{text}");
 }
 
 #[test]
@@ -117,6 +121,12 @@ fn profile_sim_reports_closed_form_charges() {
     let words: Vec<&str> = line.split_whitespace().collect();
     let (closed, simulated): (u64, u64) = (words[2].parse().unwrap(), words[4].parse().unwrap());
     assert!(closed * 2 > simulated, "four balanced workers charge mostly in rounds: {line}");
+    // The dispatch line's total is the `sim.instructions` counter, not the
+    // sum of the dispatch events the trace rings kept.
+    let dispatch = err.lines().find(|l| l.starts_with("instructions: ")).expect(&err);
+    let total: u64 = dispatch.split_whitespace().nth(1).unwrap().parse().unwrap();
+    assert_eq!(total, simulated, "{dispatch}");
+    assert!(dispatch.contains("recorded batches: "), "{dispatch}");
 }
 
 #[test]

@@ -1,11 +1,13 @@
-//! Differential testing of the resolver's static binding rule.
+//! Differential execution of the resolver's static binding rule.
 //!
 //! Random programs heavy on shadowing, conditional assignment and
-//! `parallel for` run under both engines: the tree-walking interpreter,
-//! whose every variable access goes through the resolver's `(frame, slot)`
-//! coordinates, and the bytecode VM, whose compiler binds names by the same
-//! text-order rule. The observable final state (every top-level variable
-//! printed at program end) must be identical.
+//! `parallel for` run under both engines. Both read one binding: the
+//! interpreter goes through the resolver's `(frame, slot)` coordinates
+//! directly, and the bytecode compiler turns the same coordinates into
+//! unit depths. So this tests that the engines execute that binding
+//! alike: frame sharing, worker privacy and slot reuse. The observable
+//! final state (every top-level variable printed at program end) must
+//! be identical.
 //!
 //! Generated parallelism is deterministic by construction: workers write
 //! only worker-private names, plus a single shared accumulator updated

@@ -362,24 +362,29 @@ pub fn report(trace: &Trace, source_lines: Option<&[String]>) -> String {
 
     // --- VM ------------------------------------------------------------------
     let mut batches = SpanStat::default();
-    let mut instructions: u64 = 0;
+    let mut recorded: u64 = 0;
     for e in &trace.events {
         if e.kind == EventKind::VmDispatch {
             batches.add(e.dur_ns);
-            instructions += e.a as u64;
+            recorded += e.a as u64;
         }
     }
     if batches.count > 0 {
+        out.push_str("\n-- vm dispatch --\n");
+        // Counters flushed once per run by the simulator (sched.rs): the
+        // exact instruction total, and how many of its charges whole rounds
+        // applied in closed form instead of one pick each. The dispatch
+        // events are only those the per-thread rings kept.
+        let simulated = trace.metrics.counters.get("sim.instructions").copied().unwrap_or(0);
+        if simulated > 0 {
+            out.push_str(&format!("instructions: {simulated}   "));
+        }
         out.push_str(&format!(
-            "\n-- vm dispatch --\nbatches: {}   instructions: {}   dispatch time: {}\n",
+            "recorded batches: {} ({} instructions, {} dispatch time)\n",
             batches.count,
-            instructions,
+            recorded,
             fmt_ns(batches.total_ns)
         ));
-        // Counters flushed once per run by the simulator: how many of its
-        // instruction charges whole rounds applied in closed form instead
-        // of one pick each (sched.rs).
-        let simulated = trace.metrics.counters.get("sim.instructions").copied().unwrap_or(0);
         if simulated > 0 {
             let closed =
                 trace.metrics.counters.get("sim.closed_form_charges").copied().unwrap_or(0);

@@ -15,9 +15,12 @@
 //!
 //! ## The binding rule
 //!
-//! Binding is static and follows the program text, as in the bytecode
-//! compiler (`tetra-vm`'s `compile.rs`), so both engines agree on every
-//! program. An access binds to the innermost scope that holds the name
+//! Binding is static and follows the program text. This pass is the only
+//! place that decides it: the interpreter reads the coordinates directly,
+//! and the bytecode compiler (`tetra-vm`'s `compile.rs`) turns them into
+//! its unit depths and takes its frame sizes and lock numbers from here
+//! too, so the engines cannot disagree about where a name lives. An
+//! access binds to the innermost scope that holds the name
 //! earlier in the text: a parameter, an assignment target, a loop variable
 //! or a `catch` name. A name no enclosing scope holds yet is bound in the
 //! innermost scope (the worker frame inside a `parallel for` body, the
@@ -43,7 +46,9 @@
 //! the same pass numbers every distinct name densely in first-appearance
 //! order ([`Resolution::lock_names`]) and gives each `lock` statement its
 //! name's index ([`Resolution::lock_index`]). The interpreter's lock
-//! registry is one cell per index, built without another walk.
+//! registry is one cell per index, built without another walk; the
+//! bytecode's lock instructions carry the same index, and the simulator
+//! keeps one lock per index.
 
 use std::collections::HashMap;
 use std::sync::Arc;

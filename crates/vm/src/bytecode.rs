@@ -12,6 +12,7 @@
 //! symbol tables.
 
 use tetra_ast::BinOp;
+use tetra_intern::Symbol;
 use tetra_stdlib::Builtin;
 
 /// Compile-time constants.
@@ -80,9 +81,9 @@ pub enum Instr {
     /// false, with the popped message or the constant string `consts[t]`
     /// for `text: Some(t)` (an assert without a message).
     Assert { text: Option<u16> },
-    /// Acquire the named lock `consts[i]` (blocks; scheduler-visible).
+    /// Acquire lock `i`, named `lock_names[i]` (blocks; scheduler-visible).
     EnterLock(u16),
-    /// Release the named lock `consts[i]`.
+    /// Release lock `i`.
     ExitLock(u16),
     /// Spawn one thread per thunk and join them all (`parallel:`).
     Parallel(Vec<u16>),
@@ -103,9 +104,10 @@ pub enum Instr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitKind {
     Function,
-    /// A `parallel:`/`background:` child statement. Writes to new names go
-    /// to the enclosing scope (transparent), so it declares no locals of
-    /// its own unless nested constructs do.
+    /// A `parallel:`/`background:` child statement. It shares the frame of
+    /// the unit that spawns it (the resolver gives it no frame of its own),
+    /// so its only locals are the hidden slots of its sequential `for`
+    /// loops.
     ParallelChild,
     /// A `parallel for` body; slot 0 is the private induction variable.
     ParallelForBody,
@@ -139,6 +141,8 @@ pub struct CompiledProgram {
     /// How many of `units` are program functions.
     pub num_funcs: usize,
     pub consts: Vec<Const>,
+    /// Every distinct lock name, by lock index (the resolver's numbering).
+    pub lock_names: Vec<Symbol>,
     /// Unit index of `main`.
     pub main: u16,
 }
@@ -146,6 +150,11 @@ pub struct CompiledProgram {
 impl CompiledProgram {
     pub fn unit(&self, idx: u16) -> &CodeUnit {
         &self.units[idx as usize]
+    }
+
+    /// The name of lock `lock`.
+    pub fn lock_name(&self, lock: u16) -> &'static str {
+        self.lock_names[lock as usize].as_str()
     }
 
     /// Total instruction count (reported by `tetra compile`).

@@ -63,8 +63,8 @@ fn render(instr: &Instr, program: &CompiledProgram) -> String {
         Instr::IndexStore => "index.store".into(),
         Instr::Assert { text: None } => "assert msg=popped".into(),
         Instr::Assert { text: Some(i) } => format!("assert msg={}", konst(i)),
-        Instr::EnterLock(i) => format!("lock.enter {}", konst(i)),
-        Instr::ExitLock(i) => format!("lock.exit {}", konst(i)),
+        Instr::EnterLock(i) => format!("lock.enter {:?}", program.lock_name(*i)),
+        Instr::ExitLock(i) => format!("lock.exit {:?}", program.lock_name(*i)),
         Instr::Parallel(ts) => format!("parallel {ts:?}"),
         Instr::Background(ts) => format!("background {ts:?}"),
         Instr::ParallelFor(t) => format!("parallel.for thunk={t}"),

@@ -21,9 +21,8 @@
 //! The GIL mode charges the entire cost through the shared resource,
 //! which pins speedup at ≈1× — the Python contrast of paper §I.
 
-use crate::bytecode::{CompiledProgram, Const};
+use crate::bytecode::CompiledProgram;
 use crate::vm::{CostClass, Feed, FeedShare, Outcome, Registry, Table, VmState, VmThread, World};
-use std::collections::HashMap;
 use std::sync::Arc;
 use tetra_runtime::{
     ConsoleRef, ErrorKind, GcStats, Heap, HeapConfig, MutatorGuard, RuntimeError, Value,
@@ -219,6 +218,7 @@ pub struct SimStats {
     pub gc: GcStats,
 }
 
+#[derive(Default)]
 struct SimLock {
     holder: Option<u32>,
     /// Line where the holder took the lock (for re-entry messages).
@@ -228,14 +228,6 @@ struct SimLock {
     /// Shadow call-path node of the acquiring code (lock attribution).
     holder_node: u32,
     waiters: Vec<u32>,
-}
-
-/// The name of the lock whose name is string constant `lock`.
-fn lock_name(program: &CompiledProgram, lock: u16) -> &str {
-    match &program.consts[lock as usize] {
-        Const::Str(name) => name,
-        other => unreachable!("lock name constant must be a string, got {other:?}"),
-    }
 }
 
 /// Run a compiled program deterministically, returning stats.
@@ -262,9 +254,8 @@ struct Scheduler<'p> {
     live: Vec<u32>,
     /// Live `background:` threads. While any runs, nobody runs ahead.
     live_background: u32,
-    /// Simulated locks, keyed by the lock name's constant index (lock
-    /// names are string constants, deduplicated by value).
-    locks: HashMap<u16, SimLock>,
+    /// Simulated locks, by lock index.
+    locks: Vec<SimLock>,
     /// Shared-runtime resource availability (virtual time).
     runtime_free: u64,
     next_id: u32,
@@ -291,7 +282,7 @@ impl<'p> Scheduler<'p> {
             threads: Vec::new(),
             live: Vec::new(),
             live_background: 0,
-            locks: HashMap::new(),
+            locks: program.lock_names.iter().map(|_| SimLock::default()).collect(),
             runtime_free: 0,
             next_id: 0,
             lock_contentions: 0,
@@ -354,9 +345,7 @@ impl<'p> Scheduler<'p> {
                 };
                 let err = RuntimeError::new(ErrorKind::Deadlock, self.stuck_error().message, 0);
                 // Remove the victim from the wait queue and unwind it.
-                if let Some(entry) = self.locks.get_mut(&want) {
-                    entry.waiters.retain(|w| *w != victim);
-                }
+                self.locks[want as usize].waiters.retain(|w| *w != victim);
                 self.thread(victim).state = VmState::Runnable;
                 self.thread(victim).advance_ip();
                 self.deliver(victim, err)?;
@@ -666,14 +655,8 @@ impl<'p> Scheduler<'p> {
             }
             Outcome::WantLock { lock, line } => {
                 let acquire_node = self.thread(tid).current_shadow_node();
-                let name = lock_name(self.program, lock);
-                let entry = self.locks.entry(lock).or_insert(SimLock {
-                    holder: None,
-                    holder_line: 0,
-                    held_since_ns: 0,
-                    holder_node: 0,
-                    waiters: Vec::new(),
-                });
+                let name = self.program.lock_name(lock);
+                let entry = &mut self.locks[lock as usize];
                 match entry.holder {
                     None => {
                         entry.holder = Some(tid);
@@ -733,17 +716,16 @@ impl<'p> Scheduler<'p> {
     /// Release `lock` held by `tid` and wake its waiters.
     fn release_lock(&mut self, tid: u32, lock: u16) {
         let release_time = self.thread(tid).vtime;
-        if let Some(entry) = self.locks.get_mut(&lock) {
-            debug_assert_eq!(entry.holder, Some(tid));
-            entry.holder = None;
-            let name = lock_name(self.program, lock);
-            tetra_obs::lock_hold(tid, name, entry.held_since_ns, entry.holder_node);
-            let waiters = std::mem::take(&mut entry.waiters);
-            for w in waiters {
-                let t = self.thread(w);
-                t.state = VmState::Runnable;
-                t.vtime = t.vtime.max(release_time);
-            }
+        let entry = &mut self.locks[lock as usize];
+        debug_assert_eq!(entry.holder, Some(tid));
+        entry.holder = None;
+        let name = self.program.lock_name(lock);
+        tetra_obs::lock_hold(tid, name, entry.held_since_ns, entry.holder_node);
+        let waiters = std::mem::take(&mut entry.waiters);
+        for w in waiters {
+            let t = self.thread(w);
+            t.state = VmState::Runnable;
+            t.vtime = t.vtime.max(release_time);
         }
     }
 
@@ -900,7 +882,7 @@ impl<'p> Scheduler<'p> {
                 VmState::BlockedLock(lock) => Some(format!(
                     "thread {} waits for lock `{}`",
                     t.id,
-                    lock_name(self.program, lock)
+                    self.program.lock_name(lock)
                 )),
                 _ => None,
             })
