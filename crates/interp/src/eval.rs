@@ -75,7 +75,7 @@ impl ThreadCtx<'_> {
             ExprKind::Array(items) => {
                 let mark = self.temp_mark();
                 for item in items {
-                    let v = self.eval(item)?;
+                    let v = self.eval_stored(item)?;
                     self.push_temp(v);
                 }
                 let values = self.temps[mark..].to_vec();
@@ -119,7 +119,7 @@ impl ThreadCtx<'_> {
                 for (k, v) in pairs {
                     let kv = self.eval(k)?;
                     self.push_temp(kv);
-                    let vv = self.eval(v)?;
+                    let vv = self.eval_stored(v)?;
                     self.push_temp(vv);
                     let key = kv.to_dict_key().ok_or_else(|| {
                         self.err(
@@ -134,6 +134,17 @@ impl ThreadCtx<'_> {
                 self.truncate_temps(mark);
                 Ok(d)
             }
+        }
+    }
+
+    /// Evaluate an expression whose value is stored (in a variable, an
+    /// element, a parameter or a return value): an int becomes a real where
+    /// the checker says the store is `real`.
+    #[inline]
+    pub fn eval_stored(&mut self, e: &Expr) -> Result<Value, Error> {
+        match self.eval(e)? {
+            Value::Int(i) if self.typed.widens(e.id) => Ok(Value::Real(i as f64)),
+            v => Ok(v),
         }
     }
 
@@ -208,7 +219,7 @@ impl ThreadCtx<'_> {
     fn eval_call(&mut self, e: &Expr, callee: Symbol, args: &[Expr]) -> Result<Value, Error> {
         let mark = self.temp_mark();
         for arg in args {
-            let v = self.eval(arg)?;
+            let v = self.eval_stored(arg)?;
             self.push_temp(v);
         }
         let result = match self.typed.callees.get(e.id) {
@@ -246,15 +257,15 @@ impl ThreadCtx<'_> {
             // in the leading ones.
             let base = self.locals.len();
             self.locals.resize(base + layout.len(), None);
-            for (i, p) in func.params.iter().enumerate() {
-                self.locals[base + i] = Some(ops::widen_to(&p.ty, self.temps[args_at + i]));
+            for (i, &arg) in self.temps[args_at..].iter().enumerate() {
+                self.locals[base + i] = Some(arg);
             }
             self.private = Some(PrivateFrame { base, layout });
         } else {
             let env = Env::new_with_layout(layout.clone());
             let frame = env.innermost();
-            for (i, p) in func.params.iter().enumerate() {
-                frame.set_slot(i, ops::widen_to(&p.ty, self.temps[args_at + i]));
+            for (i, &arg) in self.temps[args_at..].iter().enumerate() {
+                frame.set_slot(i, arg);
             }
             self.env_stack.push(env);
             self.private = None;
@@ -287,7 +298,7 @@ impl ThreadCtx<'_> {
         self.line = saved_line;
         self.cell.set_line(saved_line);
         match result? {
-            crate::exec::Flow::Return(v) => Ok(ops::widen_to(&func.ret, v)),
+            crate::exec::Flow::Return(v) => Ok(v),
             _ => Ok(Value::None), // fell off the end: none
         }
     }
