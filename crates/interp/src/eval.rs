@@ -224,7 +224,11 @@ impl ThreadCtx<'_> {
         }
         let result = match self.typed.callees.get(e.id) {
             Some(Callee::User(idx)) => self.call_user(idx, mark),
-            Some(Callee::Builtin(b)) => self.call_builtin(b, mark),
+            Some(Callee::Builtin(b)) => match self.call_builtin(b, mark) {
+                // `sum` over a `[real]` (see `TypedProgram::widens`).
+                Ok(Value::Int(i)) if self.typed.widens(e.id) => Ok(Value::Real(i as f64)),
+                r => r,
+            },
             None => Err(self.err(
                 ErrorKind::UndefinedFunction,
                 format!("internal error: the call of `{callee}` has no checked callee"),

@@ -92,7 +92,9 @@ pub struct TypedProgram {
     pub expr_types: HashMap<NodeId, Type>,
     /// Resolution of every call expression, indexed by the call's `NodeId`.
     pub callees: Callees,
-    /// Inferred type of each local, keyed by (function index, name).
+    /// Inferred type of each local, keyed by (function index, name): the
+    /// checker's own tests read it.
+    #[cfg(test)]
     pub var_types: HashMap<(usize, Symbol), Type>,
     /// Static (frame, slot) coordinates and frame layouts from the
     /// resolution pass; drives the engines' indexed variable access.
@@ -109,17 +111,20 @@ impl TypedProgram {
     }
 
     /// Inferred type of a local variable in function `func`.
+    #[cfg(test)]
     pub fn var_type(&self, func: usize, name: &str) -> Option<&Type> {
         self.var_types.get(&(func, Symbol::intern(name)))
     }
 
-    /// Whether the `int` value of expression `value` becomes a real where
-    /// it is stored: it is assigned to a `real` variable or element, is an
-    /// item of an array literal or a value of a dict literal whose elements
-    /// are `real`, is appended or inserted into a `[real]`, is passed to a
-    /// `real` parameter, or is returned from a function returning `real`.
-    /// This is the only int → real conversion of a stored value on either
-    /// engine, so a `real` variable or container never holds an int.
+    /// Whether the `int` value of expression `value` becomes a real. A
+    /// stored value does where it is stored: it is assigned to a `real`
+    /// variable or element, is an item of an array literal or a value of a
+    /// dict literal whose elements are `real`, is appended or inserted into
+    /// a `[real]`, is passed to a `real` parameter, or is returned from a
+    /// function returning `real`. So does a call of `sum` over a `[real]`,
+    /// whose result is the int 0 when there are no items. This is the only
+    /// int → real conversion of a value on either engine, so a `real`
+    /// variable, container or `sum` never holds an int.
     #[inline]
     pub fn widens(&self, value: NodeId) -> bool {
         let i = value.0 as usize;
@@ -141,6 +146,7 @@ pub fn check(program: Program) -> Result<TypedProgram, Vec<Diagnostic>> {
             program,
             expr_types: checker.expr_types,
             callees: checker.callees,
+            #[cfg(test)]
             var_types: checker.var_types,
             resolution,
             widened: checker.widened,
@@ -161,6 +167,7 @@ struct Checker {
     errors: Vec<Diagnostic>,
     expr_types: HashMap<NodeId, Type>,
     callees: Callees,
+    #[cfg(test)]
     var_types: HashMap<(usize, Symbol), Type>,
     /// See [`TypedProgram::widens`].
     widened: Vec<u64>,
@@ -197,6 +204,7 @@ impl Checker {
             errors: Vec::new(),
             expr_types: HashMap::new(),
             callees: Callees::new(program.node_count),
+            #[cfg(test)]
             var_types: HashMap::new(),
             widened: vec![0; (program.node_count as usize).div_ceil(64)],
             locals: HashMap::new(),
@@ -267,6 +275,7 @@ impl Checker {
                 .with_help("add a `return` to every path through the function"),
             );
         }
+        #[cfg(test)]
         for (name, ty) in self.locals.drain() {
             self.var_types.insert((idx, name), ty);
         }
@@ -959,6 +968,11 @@ impl Checker {
                     {
                         let last = args.len() - 1;
                         self.widen_if(elem, &arg_types[last], &args[last]);
+                    }
+                    // `sum` adds from the int 0, so with no items its
+                    // result is an int: over a `[real]` it widens.
+                    if b == Builtin::Sum {
+                        self.widen_if(&ret, &Type::Int, e);
                     }
                     self.callees.record(e.id, Callee::Builtin(b));
                     Ok(ret)

@@ -273,7 +273,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
             StmtKind::Assign { target, op, value } => self.assign(target, *op, value),
             StmtKind::Return(v) => {
                 match v {
-                    Some(e) => self.stored(e),
+                    Some(e) => self.expr(e),
                     None => {
                         let none = self.comp.intern(Const::None);
                         self.emit(Instr::Const(none));
@@ -488,7 +488,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
         match target {
             Target::Name { id, .. } => match op.binop() {
                 None => {
-                    self.stored(value);
+                    self.expr(value);
                     let (d, s) = self.place(*id);
                     self.store(d, s);
                 }
@@ -504,7 +504,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 None => {
                     self.expr(base);
                     self.expr(index);
-                    self.stored(value);
+                    self.expr(value);
                     self.emit(Instr::IndexStore);
                 }
                 Some(binop) => {
@@ -520,19 +520,19 @@ impl<'c, 't> FnCompiler<'c, 't> {
         }
     }
 
-    /// Compile an expression whose value is stored (in a variable, an
-    /// element, a parameter or a return value), followed by `Widen` where
-    /// the checker says the int becomes a real.
-    fn stored(&mut self, value: &'t Expr) {
-        self.expr(value);
-        if self.comp.typed.widens(value.id) {
+    // ---- expressions ------------------------------------------------------------
+
+    /// Compile an expression, followed by `Widen` where the checker says
+    /// its int value becomes a real (`TypedProgram::widens`): a stored
+    /// value, or `sum` over a `[real]`.
+    fn expr(&mut self, e: &'t Expr) {
+        self.expr_value(e);
+        if self.comp.typed.widens(e.id) {
             self.emit(Instr::Widen);
         }
     }
 
-    // ---- expressions ------------------------------------------------------------
-
-    fn expr(&mut self, e: &'t Expr) {
+    fn expr_value(&mut self, e: &'t Expr) {
         match &e.kind {
             ExprKind::Int(v) => {
                 let c = self.comp.intern(Const::Int(*v));
@@ -593,7 +593,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
                     );
                 };
                 for arg in args {
-                    self.stored(arg);
+                    self.expr(arg);
                 }
                 match resolved {
                     Callee::User(idx) => self.emit(Instr::Call(idx as u16, args.len() as u8)),
@@ -607,7 +607,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
             }
             ExprKind::Array(items) => {
                 for item in items {
-                    self.stored(item);
+                    self.expr(item);
                 }
                 self.emit(Instr::MakeArray(items.len() as u16));
             }
@@ -625,7 +625,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
             ExprKind::Dict(pairs) => {
                 for (k, v) in pairs {
                     self.expr(k);
-                    self.stored(v);
+                    self.expr(v);
                 }
                 self.emit(Instr::MakeDict(pairs.len() as u16));
             }

@@ -247,7 +247,7 @@ struct Scheduler<'p> {
     /// The scheduler thread's single GC mutator registration. A second
     /// registration on the same OS thread would deadlock the collector.
     mutator: MutatorGuard,
-    registry: Arc<Registry>,
+    registry: Registry,
     console: ConsoleRef,
     threads: Vec<VmThread>,
     /// Ids of the threads that are not `Done`: the only ones a pick scans.
@@ -271,13 +271,12 @@ impl<'p> Scheduler<'p> {
     fn new(program: &'p CompiledProgram, config: VmConfig, console: ConsoleRef) -> Self {
         let heap = Heap::new(config.gc.clone());
         let mutator = heap.register_mutator();
-        let registry = Arc::new(Registry::default());
         Scheduler {
             program,
             config,
             heap,
             mutator,
-            registry,
+            registry: Registry::default(),
             console,
             threads: Vec::new(),
             live: Vec::new(),
@@ -478,7 +477,7 @@ impl<'p> Scheduler<'p> {
         let mut dispatched: u32 = 0;
         while dispatched < batch {
             // Fast path within the quantum: run private instructions under
-            // a single locals/stack lock acquisition instead of relocking
+            // one borrow of the locals and the stack instead of borrowing
             // per instruction. All of them cost `Basic`, and the closed
             // form below equals charging them one by one.
             if batch > 1 {
@@ -594,7 +593,7 @@ impl<'p> Scheduler<'p> {
                 // (--static-chunks): each worker gets one contiguous chunk
                 // up front.
                 let share = if self.config.dynamic_chunking {
-                    Some(std::sync::Arc::new(FeedShare::new(items.len(), workers)))
+                    Some(std::rc::Rc::new(FeedShare::new(items.len(), workers)))
                 } else {
                     None
                 };
@@ -746,14 +745,13 @@ impl<'p> Scheduler<'p> {
                 }
                 // Materialize the message; the handler's first instruction
                 // stores it into the catch variable.
-                let msg =
-                    self.heap.alloc_str(&self.mutator, self.registry.as_ref(), err.message.clone());
+                let msg = self.heap.alloc_str(&self.mutator, &self.registry, err.message.clone());
                 let t = self.thread(tid);
                 while t.frames.len() > h.frame_depth {
                     t.frames.pop();
                 }
-                t.stack.write().truncate(h.stack_height);
-                t.stack.write().push(msg);
+                t.stack.borrow_mut().truncate(h.stack_height);
+                t.stack.borrow_mut().push(msg);
                 if let Some(f) = t.frames.last_mut() {
                     f.ip = h.handler_ip as usize;
                 }
@@ -816,7 +814,7 @@ impl<'p> Scheduler<'p> {
             }
         };
         if let Some((unit, locals, outers, item)) = refeed {
-            locals.write()[0] = item;
+            locals.borrow_mut()[0] = item;
             let t = self.thread(tid);
             let shadow_node = t.shadow_root;
             t.frames.push(crate::vm::VmFrame {
@@ -827,7 +825,7 @@ impl<'p> Scheduler<'p> {
                 stack_base: 0,
                 shadow_node,
             });
-            t.stack.write().clear();
+            t.stack.borrow_mut().clear();
             return Ok(());
         }
         if let Some(pos) = self.live.iter().position(|&id| id == tid) {

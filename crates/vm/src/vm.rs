@@ -6,33 +6,36 @@
 //! VM threads one instruction at a time, which is what makes the
 //! virtual-time simulation (and deterministic replay) possible.
 //!
-//! All mutable thread state lives behind shared tables registered with a
-//! [`Registry`], which doubles as the GC root source: collection can happen
-//! inside any allocating instruction without tracking Rust borrows.
+//! The simulator runs on one OS thread, so its machine state is
+//! single-threaded: frame locals and operand stacks are `Rc<RefCell<..>>`
+//! [`Table`]s registered with a [`Registry`], the GC root source. A
+//! collection inside an allocating instruction takes only shared borrows of
+//! them, so no mutable borrow may be held across an allocation: that panics
+//! ("already mutably borrowed"). A shared one, such as a builtin's argument
+//! slice, keeps its values rooted.
 
 use crate::bytecode::{CompiledProgram, Const, Instr};
-use parking_lot::{Mutex, RwLock};
-use std::sync::{Arc, Weak};
+use std::{cell::Cell, cell::RefCell, rc::Rc, rc::Weak, sync::Arc};
 use tetra_runtime::{
     ConsoleRef, ErrorKind, Heap, MutatorGuard, Object, RootSink, RootSource, RuntimeError,
     Snapshot, Value,
 };
 use tetra_stdlib::{ops, Builtin};
 
-/// A shared table of values: one per frame's locals, plus each thread's
-/// operand stack.
-pub type Table = Arc<RwLock<Vec<Value>>>;
+/// A table of values: one per frame's locals, plus each thread's operand
+/// stack.
+pub type Table = Rc<RefCell<Vec<Value>>>;
 
 /// Registry of all live tables and `parallel for` item snapshots; the
 /// single GC root source of a VM run.
 pub struct Registry {
-    tables: Mutex<TableSet>,
+    tables: RefCell<TableSet>,
 }
 
 struct TableSet {
-    entries: Vec<Weak<RwLock<Vec<Value>>>>,
+    entries: Vec<Weak<RefCell<Vec<Value>>>>,
     /// Item snapshots of running `parallel for` loops, rooted by reference.
-    snapshots: Vec<Weak<Snapshot>>,
+    snapshots: Vec<std::sync::Weak<Snapshot>>,
     /// Purge dead weak entries once `entries` reaches this length. After a
     /// purge it is reset to twice the surviving count, so a full scan only
     /// runs when the live fraction may have fallen below half — amortized
@@ -45,7 +48,7 @@ const PURGE_FLOOR: usize = 64;
 impl Default for Registry {
     fn default() -> Self {
         Registry {
-            tables: Mutex::new(TableSet {
+            tables: RefCell::new(TableSet {
                 entries: Vec::new(),
                 snapshots: Vec::new(),
                 purge_at: PURGE_FLOOR,
@@ -56,9 +59,9 @@ impl Default for Registry {
 
 impl Registry {
     pub fn new_table(&self, init: Vec<Value>) -> Table {
-        let t = Arc::new(RwLock::new(init));
-        let mut set = self.tables.lock();
-        set.entries.push(Arc::downgrade(&t));
+        let t = Rc::new(RefCell::new(init));
+        let mut set = self.tables.borrow_mut();
+        set.entries.push(Rc::downgrade(&t));
         if set.entries.len() >= set.purge_at {
             set.entries.retain(|w| w.strong_count() > 0);
             set.purge_at = (set.entries.len() * 2).max(PURGE_FLOOR);
@@ -71,27 +74,22 @@ impl Registry {
     /// Loops are few, so dead entries are purged on every registration.
     pub fn new_snapshot(&self, items: Vec<Value>) -> Arc<Snapshot> {
         let s = Snapshot::new(items);
-        let mut set = self.tables.lock();
+        let mut set = self.tables.borrow_mut();
         set.snapshots.retain(|w| w.strong_count() > 0);
         set.snapshots.push(Arc::downgrade(&s));
         s
-    }
-
-    /// Number of weak entries currently tracked (live + not-yet-purged dead).
-    pub fn tracked_tables(&self) -> usize {
-        self.tables.lock().entries.len()
     }
 }
 
 impl RootSource for Registry {
     fn roots(&self, sink: &mut RootSink) {
-        let set = self.tables.lock();
+        let set = self.tables.borrow();
         for t in set.entries.iter().filter_map(Weak::upgrade) {
-            for v in t.read().iter() {
+            for v in t.borrow().iter() {
                 sink.value(*v);
             }
         }
-        for s in set.snapshots.iter().filter_map(Weak::upgrade) {
+        for s in set.snapshots.iter().filter_map(std::sync::Weak::upgrade) {
             sink.snapshot(&s);
         }
     }
@@ -140,7 +138,7 @@ pub struct Feed {
     pub outers: Vec<Table>,
     /// The loop-wide claim cursor (dynamic chunking); `None` under static
     /// chunking, where the worker's `next..end` is its entire share.
-    pub share: Option<std::sync::Arc<FeedShare>>,
+    pub share: Option<Rc<FeedShare>>,
 }
 
 /// The deterministic model of the runtime pool's adaptive chunking: one
@@ -151,33 +149,31 @@ pub struct Feed {
 /// split-in-half-on-steal behaviour. Claim order is decided by the
 /// virtual-time scheduler, so simulated runs stay exactly reproducible.
 pub struct FeedShare {
-    cursor: parking_lot::Mutex<usize>,
+    cursor: Cell<usize>,
     len: usize,
     workers: usize,
 }
 
 impl FeedShare {
     pub fn new(len: usize, workers: usize) -> Self {
-        FeedShare { cursor: parking_lot::Mutex::new(0), len, workers: workers.max(1) }
+        FeedShare { cursor: Cell::new(0), len, workers: workers.max(1) }
     }
 
     /// Claim the next chunk, or `None` when the loop is exhausted.
     pub fn claim(&self) -> Option<(usize, usize)> {
-        let mut cur = self.cursor.lock();
-        if *cur >= self.len {
+        let lo = self.cursor.get();
+        if lo >= self.len {
             return None;
         }
-        let remaining = self.len - *cur;
-        let take = (remaining / (2 * self.workers)).max(1);
-        let lo = *cur;
-        *cur += take;
+        let take = ((self.len - lo) / (2 * self.workers)).max(1);
+        self.cursor.set(lo + take);
         Some((lo, lo + take))
     }
 
     /// Mark the loop exhausted (a worker died with an error: the remaining
     /// items are cancelled, like the interpreter pool's cancel flag).
     pub fn drain(&self) {
-        *self.cursor.lock() = self.len;
+        self.cursor.set(self.len);
     }
 }
 
@@ -247,12 +243,12 @@ pub enum CostClass {
 }
 
 /// What the scheduler must do after a step.
-pub enum Outcome {
+pub enum Outcome<'p> {
     Normal,
     /// Spawn these thunks; `join` distinguishes `parallel:` from
     /// `background:`.
     Spawn {
-        thunks: Vec<u16>,
+        thunks: &'p [u16],
         join: bool,
     },
     /// Distribute `items` over workers running `thunk`.
@@ -276,8 +272,8 @@ pub enum Outcome {
 }
 
 /// Everything stepping needs from the scheduler.
-pub struct World<'a> {
-    pub program: &'a CompiledProgram,
+pub struct World<'a, 'p> {
+    pub program: &'p CompiledProgram,
     pub heap: &'a Arc<Heap>,
     pub mutator: &'a MutatorGuard,
     pub registry: &'a Registry,
@@ -338,45 +334,57 @@ impl VmThread {
         RuntimeError::new(kind, msg, self.current_line(program))
     }
 
-    // ---- stack helpers (brief locks; never held across allocation) --------
+    // ---- stack helpers (brief borrows; never held across allocation) ------
 
     fn push(&self, v: Value) {
-        self.stack.write().push(v);
+        self.stack.borrow_mut().push(v);
     }
 
     fn pop(&self, program: &CompiledProgram) -> Result<Value, RuntimeError> {
         self.stack
-            .write()
+            .borrow_mut()
             .pop()
             .ok_or_else(|| self.err(program, ErrorKind::Value, "VM stack underflow (compiler bug)"))
     }
 
     fn peek(&self, program: &CompiledProgram) -> Result<Value, RuntimeError> {
         self.stack
-            .read()
+            .borrow()
             .last()
             .copied()
             .ok_or_else(|| self.err(program, ErrorKind::Value, "VM stack underflow (compiler bug)"))
     }
 
+    /// [`VmThread::top_n`] without allocating.
+    fn top<const N: usize>(&self) -> [Value; N] {
+        let stack = self.stack.borrow();
+        stack[stack.len() - N..].try_into().expect("a slice of length N")
+    }
+
     /// Copy the top `n` values (kept on the stack as GC roots).
     fn top_n(&self, n: usize) -> Vec<Value> {
-        let stack = self.stack.read();
+        let stack = self.stack.borrow();
         stack[stack.len() - n..].to_vec()
     }
 
+    /// Replace the top `n` values with `v`.
+    fn replace_top(&self, n: usize, v: Value) {
+        self.drop_n(n);
+        self.push(v);
+    }
+
     fn drop_n(&self, n: usize) {
-        let mut stack = self.stack.write();
+        let mut stack = self.stack.borrow_mut();
         let len = stack.len();
         stack.truncate(len - n);
     }
 
-    /// Execute a run of *private* instructions while holding the frame's
-    /// locals guard and the operand-stack guard **once**, instead of
-    /// re-acquiring both `RwLock`s for every instruction. A private
-    /// instruction reads and writes only this thread's own frame locals
-    /// and operand stack: non-string `Const`, `LoadLocal`, `StoreLocal`,
-    /// the jumps, `Pop`, `Dup2`, scalar `Bin`/`Neg`/`Not` and `Widen`.
+    /// Execute a run of *private* instructions under one mutable borrow of
+    /// the frame's locals and one of the operand stack, instead of
+    /// borrowing both for every instruction. A private instruction reads
+    /// and writes only this thread's own frame locals and operand stack:
+    /// non-string `Const`, `LoadLocal`, `StoreLocal`, the jumps, `Pop`,
+    /// `Dup2`, scalar `Bin`/`Neg`/`Not` and `Widen`.
     ///
     /// Returns how many instructions ran (possibly 0); every one of them is
     /// `CostClass::Basic`. The scheduler uses it for the sole runnable
@@ -388,9 +396,9 @@ impl VmThread {
     /// object). The first instruction runs at its own turn in the schedule
     /// either way, so running ahead can never make an object unreachable
     /// earlier than the per-instruction order would. The allocation
-    /// restriction is also load-bearing for locking: a GC triggered inside
-    /// the quantum would scan the registry's roots, which read-locks every
-    /// table, including the two write guards held here.
+    /// restriction is also load-bearing for the borrows: a GC triggered
+    /// inside the quantum would scan the registry's roots, which borrows
+    /// every table, and panic on the two mutable borrows held here.
     pub fn step_quantum(&mut self, world: &World, max: u32) -> u32 {
         let program = world.program;
         let Some(frame) = self.frames.last_mut() else {
@@ -399,16 +407,14 @@ impl VmThread {
         let unit = program.unit(frame.unit);
         let code = &unit.code;
         // Most calls that find nothing to do stop at the first opcode:
-        // decide that before taking either lock.
+        // decide that before borrowing either table.
         if !is_private(&code[frame.ip], program) {
             return 0;
         }
-        let stack_arc = self.stack.clone();
-        let locals_arc = frame.locals.clone();
         let octx =
             ops::OpCtx { heap: world.heap, mutator: world.mutator, roots: world.registry, line: 0 };
-        let mut locals = locals_arc.write();
-        let mut stack = stack_arc.write();
+        let mut locals = frame.locals.borrow_mut();
+        let mut stack = self.stack.borrow_mut();
         let mut ip = frame.ip;
         let mut n: u32 = 0;
         while n < max {
@@ -551,11 +557,14 @@ impl VmThread {
     /// Execute the instruction at the current ip. Returns the outcome and
     /// the cost class. On `WantLock` the ip is left pointing at the
     /// `EnterLock` so the scheduler can retry it.
-    pub fn step(&mut self, world: &World) -> Result<(Outcome, CostClass), RuntimeError> {
+    pub fn step<'p>(
+        &mut self,
+        world: &World<'_, 'p>,
+    ) -> Result<(Outcome<'p>, CostClass), RuntimeError> {
         let program = world.program;
         let frame = self.frames.last().expect("step on a finished thread");
         let unit = program.unit(frame.unit);
-        let instr = unit.code[frame.ip].clone();
+        let instr = &unit.code[frame.ip];
         let line = unit.line_at(frame.ip);
         self.instructions += 1;
         if tetra_obs::heap_profile_enabled() {
@@ -571,7 +580,7 @@ impl VmThread {
         let mut advance = true;
         let mut outcome = Outcome::Normal;
 
-        match instr {
+        match *instr {
             Instr::Const(i) => {
                 let v = match &program.consts[i as usize] {
                     Const::None => Value::None,
@@ -586,7 +595,7 @@ impl VmThread {
                 self.push(v);
             }
             Instr::LoadLocal(i) => {
-                let v = self.frames.last().unwrap().locals.read()[i as usize];
+                let v = self.frames.last().unwrap().locals.borrow()[i as usize];
                 if matches!(v, Value::None) {
                     return Err(self.err(
                         program,
@@ -598,13 +607,11 @@ impl VmThread {
             }
             Instr::StoreLocal(i) => {
                 let v = self.pop(program)?;
-                let locals = self.frames.last().unwrap().locals.clone();
-                locals.write()[i as usize] = v;
+                self.frames.last().unwrap().locals.borrow_mut()[i as usize] = v;
             }
             Instr::LoadOuter(d, i) => {
                 cost = CostClass::SharedAccess;
-                let table = self.frames.last().unwrap().outers[d as usize - 1].clone();
-                let v = table.read()[i as usize];
+                let v = self.frames.last().unwrap().outers[d as usize - 1].borrow()[i as usize];
                 if matches!(v, Value::None) {
                     return Err(self.err(
                         program,
@@ -617,14 +624,12 @@ impl VmThread {
             Instr::StoreOuter(d, i) => {
                 cost = CostClass::SharedAccess;
                 let v = self.pop(program)?;
-                let table = self.frames.last().unwrap().outers[d as usize - 1].clone();
-                table.write()[i as usize] = v;
+                self.frames.last().unwrap().outers[d as usize - 1].borrow_mut()[i as usize] = v;
             }
             Instr::Bin(op) => {
-                let operands = self.top_n(2);
-                let r = ops::binary(&octx, op, operands[0], operands[1])?;
-                self.drop_n(2);
-                self.push(r);
+                let [l, r] = self.top();
+                let r = ops::binary(&octx, op, l, r)?;
+                self.replace_top(2, r);
                 if r.as_obj().is_some() {
                     cost = CostClass::Alloc;
                 }
@@ -632,26 +637,23 @@ impl VmThread {
             Instr::Neg => {
                 let v = self.peek(program)?;
                 let r = ops::negate(&octx, v)?;
-                self.drop_n(1);
-                self.push(r);
+                self.replace_top(1, r);
             }
             Instr::Not => {
                 let v = self.peek(program)?;
                 let r = ops::not(&octx, v)?;
-                self.drop_n(1);
-                self.push(r);
+                self.replace_top(1, r);
             }
             Instr::Widen => {
-                let v = self.pop(program)?;
-                self.push(ops::widen(v));
+                let v = self.peek(program)?;
+                self.replace_top(1, ops::widen(v));
             }
             Instr::Pop => {
                 self.pop(program)?;
             }
             Instr::Dup2 => {
-                let two = self.top_n(2);
-                self.push(two[0]);
-                self.push(two[1]);
+                let [a, b] = self.top();
+                self.stack.borrow_mut().extend([a, b]);
             }
             Instr::Jump(t) => {
                 self.frames.last_mut().unwrap().ip = t as usize;
@@ -682,11 +684,12 @@ impl VmThread {
                 let argc = argc as usize;
                 let callee = program.unit(f);
                 let mut locals = vec![Value::None; callee.nlocals as usize];
-                let args = self.top_n(argc);
-                locals[..argc].copy_from_slice(&args);
-                self.drop_n(argc);
+                let mut stack = self.stack.borrow_mut();
+                let stack_base = stack.len() - argc;
+                locals[..argc].copy_from_slice(&stack[stack_base..]);
+                stack.truncate(stack_base);
+                drop(stack);
                 let locals = world.registry.new_table(locals);
-                let stack_base = self.stack.read().len();
                 // Return to the next instruction.
                 self.frames.last_mut().unwrap().ip += 1;
                 advance = false;
@@ -722,7 +725,6 @@ impl VmThread {
                     self.push(Value::None);
                     cost = CostClass::Sleep(ms);
                 } else {
-                    let args = self.top_n(argc);
                     let hctx = tetra_stdlib::HostCtx {
                         heap: world.heap,
                         mutator: world.mutator,
@@ -731,16 +733,18 @@ impl VmThread {
                         thread: None,
                         line,
                     };
-                    let r = tetra_stdlib::call_builtin(b, &hctx, &args)?;
-                    self.drop_n(argc);
-                    self.push(r);
+                    // The arguments stay on the stack, borrowed and rooted.
+                    let stack = self.stack.borrow();
+                    let r = tetra_stdlib::call_builtin(b, &hctx, &stack[stack.len() - argc..])?;
+                    drop(stack);
+                    self.replace_top(argc, r);
                     cost = CostClass::Builtin;
                 }
             }
             Instr::Return => {
                 let value = self.pop(program)?;
                 let frame = self.frames.pop().expect("return without a frame");
-                self.stack.write().truncate(frame.stack_base);
+                self.stack.borrow_mut().truncate(frame.stack_base);
                 // Handlers installed inside the returning frame are gone.
                 let depth = self.frames.len();
                 self.handlers.retain(|h| h.frame_depth <= depth);
@@ -756,13 +760,12 @@ impl VmThread {
                 let n = n as usize;
                 let items = self.top_n(n);
                 let arr = world.heap.alloc(world.mutator, world.registry, Object::array(items));
-                self.drop_n(n);
-                self.push(Value::Obj(arr));
+                self.replace_top(n, Value::Obj(arr));
                 cost = CostClass::Alloc;
             }
             Instr::MakeRange => {
-                let two = self.top_n(2);
-                let (Some(a), Some(b)) = (two[0].as_int(), two[1].as_int()) else {
+                let [a, b] = self.top();
+                let (Some(a), Some(b)) = (a.as_int(), b.as_int()) else {
                     return Err(self.err(program, ErrorKind::Value, "range bounds must be ints"));
                 };
                 const MAX_RANGE: i64 = 50_000_000;
@@ -775,23 +778,21 @@ impl VmThread {
                 }
                 let items: Vec<Value> = (a..=b).map(Value::Int).collect();
                 let arr = world.heap.alloc(world.mutator, world.registry, Object::array(items));
-                self.drop_n(2);
-                self.push(Value::Obj(arr));
+                self.replace_top(2, Value::Obj(arr));
                 cost = CostClass::Alloc;
             }
             Instr::MakeTuple(n) => {
                 let n = n as usize;
                 let items = self.top_n(n);
                 let t = world.heap.alloc(world.mutator, world.registry, Object::Tuple(items));
-                self.drop_n(n);
-                self.push(Value::Obj(t));
+                self.replace_top(n, Value::Obj(t));
                 cost = CostClass::Alloc;
             }
             Instr::MakeDict(n) => {
                 let n = n as usize;
-                let flat = self.top_n(2 * n);
                 let mut map = std::collections::HashMap::with_capacity(n);
-                for pair in flat.chunks(2) {
+                let stack = self.stack.borrow();
+                for pair in stack[stack.len() - 2 * n..].chunks(2) {
                     let key = pair[0].to_dict_key().ok_or_else(|| {
                         self.err(
                             program,
@@ -801,21 +802,20 @@ impl VmThread {
                     })?;
                     map.insert(key, pair[1]);
                 }
+                drop(stack);
                 let d = world.heap.alloc(world.mutator, world.registry, Object::dict(map));
-                self.drop_n(2 * n);
-                self.push(Value::Obj(d));
+                self.replace_top(2 * n, Value::Obj(d));
                 cost = CostClass::Alloc;
             }
             Instr::Index => {
-                let two = self.top_n(2);
-                let v = ops::index_read(&octx, two[0], two[1])?;
-                self.drop_n(2);
-                self.push(v);
+                let [base, index] = self.top();
+                let v = ops::index_read(&octx, base, index)?;
+                self.replace_top(2, v);
                 cost = CostClass::SharedAccess;
             }
             Instr::IndexStore => {
-                let three = self.top_n(3);
-                ops::index_write(&octx, three[0], three[1], three[2])?;
+                let [base, index, value] = self.top();
+                ops::index_write(&octx, base, index, value)?;
                 self.drop_n(3);
                 cost = CostClass::SharedAccess;
             }
@@ -841,16 +841,16 @@ impl VmThread {
             Instr::ExitLock(c) => {
                 outcome = Outcome::Unlocked { lock: c };
             }
-            Instr::Parallel(thunks) => {
+            Instr::Parallel(ref thunks) => {
                 outcome = Outcome::Spawn { thunks, join: true };
             }
-            Instr::Background(thunks) => {
+            Instr::Background(ref thunks) => {
                 outcome = Outcome::Spawn { thunks, join: false };
             }
             Instr::TryPush(handler_ip) => {
                 self.handlers.push(Handler {
                     frame_depth: self.frames.len(),
-                    stack_height: self.stack.read().len(),
+                    stack_height: self.stack.borrow().len(),
                     handler_ip,
                     locks_mark: self.held_locks.len(),
                 });
@@ -950,6 +950,12 @@ fn is_private(instr: &Instr, program: &CompiledProgram) -> bool {
 mod tests {
     use super::*;
 
+    /// Number of weak entries the registry tracks (live + not-yet-purged
+    /// dead).
+    fn tracked_tables(reg: &Registry) -> usize {
+        reg.tables.borrow().entries.len()
+    }
+
     /// Run one `step_quantum` over `code` in a frame whose local 0 holds
     /// an array and local 1 is unassigned, with a second array on the
     /// operand stack; returns (instructions run, ip).
@@ -979,7 +985,7 @@ mod tests {
         let locals = registry.new_table(vec![Value::Obj(array), Value::None]);
         let mut thread = VmThread::new(0, None, 0, locals, Vec::new(), &registry, 0);
         let other = heap.alloc(&mutator, &registry, Object::array(Vec::new()));
-        thread.stack.write().push(Value::Obj(other));
+        thread.stack.borrow_mut().push(Value::Obj(other));
         let world = World {
             program: &program,
             heap: &heap,
@@ -1036,9 +1042,9 @@ mod tests {
         // arrives; the doubling threshold keeps the tracked set near the
         // floor instead of accumulating ten thousand dead weak entries.
         assert!(
-            reg.tracked_tables() <= 2 * PURGE_FLOOR,
+            tracked_tables(&reg) <= 2 * PURGE_FLOOR,
             "tracked {} dead entries",
-            reg.tracked_tables()
+            tracked_tables(&reg)
         );
     }
 
@@ -1049,9 +1055,9 @@ mod tests {
         for _ in 0..10_000 {
             drop(reg.new_table(Vec::new()));
         }
-        assert!(reg.tracked_tables() >= keep.len());
+        assert!(tracked_tables(&reg) >= keep.len());
         for (i, t) in keep.iter().enumerate() {
-            assert!(matches!(t.read()[0], Value::Int(v) if v == i as i64));
+            assert!(matches!(t.borrow()[0], Value::Int(v) if v == i as i64));
         }
     }
 }

@@ -187,6 +187,27 @@ def main():
 }
 
 #[test]
+fn sum_of_an_empty_real_array_is_real() {
+    // `sum` adds from the int 0; over a `[real]` the checker widens its
+    // result, so with no items it is `0.0`, not the int `0`, whether it is
+    // used in place, stored in a fresh or a `real` variable, or passed on.
+    let src = "\
+def half(x real) real:
+    return x / 2
+
+def main():
+    s = sum(fill(0, 0.5))
+    print(s / 2)
+    print(sum(fill(0, 0.5)) / 2, \" \", sum(fill(0, 0.5)))
+    r = 1.5
+    r = sum(fill(0, 0.5))
+    print(r / 2, \" \", half(sum(fill(0, 0.5))))
+    print(sum(fill(0, 3)) / 2, \" \", sum(fill(3, 3)) / 2, \" \", sum(fill(2, 0.5)))
+";
+    assert_eq!(run_both(src), "0.0\n0.0 0.0\n0.0 0.0\n0 4 1.0\n");
+}
+
+#[test]
 fn nested_scopes_agree() {
     // Unit depth and frame depth differ here: each `parallel:` arm is a
     // code unit of its own that shares its parent's frame. From the inner

@@ -255,3 +255,65 @@ fn call_arguments_survive_collections_at_t1_and_t2() {
     }
     assert_eq!(run_stress_vm(HEAP_ARGUMENTS), expected);
 }
+
+/// The shape of the `alloc_lock` benchmark: strings built by `str` and
+/// `+`, a `[i, len(item)]` array grown by `append`, a dict `+=` under one
+/// lock and an `append` to an outer array under a second. In the
+/// simulator this exercises builtins reading their arguments in place on
+/// the operand stack, `Dup2`/`IndexStore` and `LoadOuter` while every
+/// allocation collects.
+const ALLOC_LOCK_SHAPE: &str = "\
+def main():
+    totals = {\"k0\": 0, \"k1\": 0, \"k2\": 0, \"k3\": 0, \"k4\": 0}
+    keep = [\"start\"]
+    parallel for i in [1 ... 48]:
+        item = \"item-\" + str(i * 37)
+        parts = [i, len(item)]
+        append(parts, i % 5)
+        key = \"k\" + str(parts[2])
+        lock totals:
+            totals[key] += parts[1]
+        if i % 8 == 0:
+            lock keep:
+                append(keep, item)
+    ks = keys(totals)
+    sort(ks)
+    for k in ks:
+        print(k, \" \", totals[k])
+    kept = 0
+    for s in keep:
+        kept += len(s)
+    print(\"kept \", len(keep) - 1, \" \", kept)
+";
+
+#[test]
+fn alloc_lock_shape_survives_stress_in_the_simulator() {
+    let mut totals = [0; 5];
+    let mut kept = "start".len();
+    for i in 1..=48 {
+        let len = format!("item-{}", i * 37).len();
+        totals[i % 5] += len;
+        if i % 8 == 0 {
+            kept += len;
+        }
+    }
+    let mut expected: String =
+        totals.iter().enumerate().map(|(k, t)| format!("k{k} {t}\n")).collect();
+    expected += &format!("kept 6 {kept}\n");
+
+    let p = Tetra::compile(ALLOC_LOCK_SHAPE).unwrap_or_else(|e| panic!("{}", e.render()));
+    let console = BufferConsole::new();
+    p.run_with(InterpConfig::default(), console.clone()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(console.output(), expected, "interpreter");
+    for workers in [1, 4] {
+        let console = BufferConsole::new();
+        let cfg = VmConfig {
+            workers,
+            gc: HeapConfig { stress: true, ..HeapConfig::default() },
+            ..VmConfig::default()
+        };
+        let stats = p.simulate_with(cfg, console.clone()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(console.output(), expected, "simulator, T={workers}");
+        assert_eq!(stats.gc.collections, stats.gc.allocations, "T={workers}: {:?}", stats.gc);
+    }
+}
