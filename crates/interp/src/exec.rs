@@ -22,9 +22,9 @@ use std::sync::Arc;
 use tetra_ast::{AssignOp, Block, Expr, NodeId, Stmt, StmtKind, Target};
 use tetra_intern::Symbol;
 use tetra_runtime::{
-    threads, Env, ErrorKind, MutatorGuard, Object, Snapshot, ThreadCell, ThreadKind, ThreadState,
-    Value,
+    threads, Env, ErrorKind, MutatorGuard, Snapshot, ThreadCell, ThreadKind, ThreadState, Value,
 };
+use tetra_stdlib::ops;
 
 /// Control flow result of a statement.
 #[derive(Debug)]
@@ -158,36 +158,22 @@ impl ThreadCtx<'_> {
         }
     }
 
-    /// Evaluate a `for`/`parallel for` sequence into a snapshot of items.
-    /// Arrays are snapshotted at loop entry (concurrent `append`s during the
-    /// loop do not change the iteration).
+    /// Evaluate a `for`/`parallel for` sequence into the snapshot of items
+    /// the loop iterates ([`ops::items`]): later writes to the array do
+    /// not change the iteration.
     fn eval_iterable(&mut self, iter: &Expr) -> Result<Arc<Snapshot>, Error> {
         let mark = self.temp_mark();
         let v = self.eval(iter)?;
         self.push_temp(v);
-        let result =
-            match v {
-                Value::Obj(r) => match r.object() {
-                    Object::Array(items) => Ok(Snapshot::new(items.lock().clone())),
-                    Object::Str(s) => {
-                        // One 1-character string per char; root progressively.
-                        let chars: Vec<String> = s.chars().map(|c| c.to_string()).collect();
-                        let mut out = Vec::with_capacity(chars.len());
-                        for c in chars {
-                            let sv = self.alloc_string(c);
-                            self.push_temp(sv);
-                            out.push(sv);
-                        }
-                        Ok(Snapshot::new(out))
-                    }
-                    _ => Err(self
-                        .err(ErrorKind::Value, format!("cannot iterate over a {}", v.type_name()))),
-                },
-                other => Err(self
-                    .err(ErrorKind::Value, format!("cannot iterate over a {}", other.type_name()))),
-            };
+        let ctx = ops::OpCtx {
+            heap: &self.shared.heap,
+            mutator: &self.mutator,
+            roots: &*self,
+            line: self.line,
+        };
+        let items = ops::items(&ctx, v);
         self.truncate_temps(mark);
-        result
+        Ok(Snapshot::new(items?))
     }
 
     fn exec_assign(&mut self, target: &Target, op: AssignOp, value: &Expr) -> Result<(), Error> {

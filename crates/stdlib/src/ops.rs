@@ -16,7 +16,9 @@
 
 use std::sync::Arc;
 use tetra_ast::BinOp;
-use tetra_runtime::{ErrorKind, Heap, MutatorGuard, Object, RootSource, RuntimeError, Value};
+use tetra_runtime::{
+    ErrorKind, Heap, MutatorGuard, Object, RootSink, RootSource, RuntimeError, Value,
+};
 
 /// Minimal engine context for operators that may allocate.
 pub struct OpCtx<'a> {
@@ -34,6 +36,49 @@ impl OpCtx<'_> {
     fn alloc_str(&self, s: String) -> Value {
         self.heap.alloc_str(self.mutator, self.roots, s)
     }
+}
+
+/// Chain extra values in front of another root source (roots intermediate
+/// allocations inside builtins and operators).
+pub(crate) struct WithValues<'a> {
+    pub inner: &'a dyn RootSource,
+    pub extra: &'a [Value],
+}
+
+impl RootSource for WithValues<'_> {
+    fn roots(&self, sink: &mut RootSink) {
+        self.inner.roots(sink);
+        for v in self.extra {
+            sink.value(*v);
+        }
+    }
+}
+
+/// Allocate one string per part. Each string stays rooted, with those
+/// before it, while the next is allocated.
+pub(crate) fn alloc_strs(ctx: &OpCtx, parts: impl Iterator<Item = String>) -> Vec<Value> {
+    let mut values = Vec::with_capacity(parts.size_hint().0);
+    for part in parts {
+        let rooted = WithValues { inner: ctx.roots, extra: &values };
+        let v = ctx.heap.alloc_str(ctx.mutator, &rooted, part);
+        values.push(v);
+    }
+    values
+}
+
+/// The items a `for` or `parallel for` iterates, taken at loop entry: a
+/// copy of an array's items, or one 1-character string per char of a
+/// string (`split(s, "")`). The caller keeps `seq` rooted and owns the
+/// result, which no later write to the array changes.
+pub fn items(ctx: &OpCtx, seq: Value) -> Result<Vec<Value>, RuntimeError> {
+    if let Value::Obj(r) = seq {
+        match r.object() {
+            Object::Array(items) => return Ok(items.lock().clone()),
+            Object::Str(s) => return Ok(alloc_strs(ctx, s.chars().map(String::from))),
+            _ => {}
+        }
+    }
+    Err(ctx.err(ErrorKind::Value, format!("cannot iterate over a {}", seq.type_name())))
 }
 
 fn is_num(v: &Value) -> bool {
