@@ -14,12 +14,15 @@
 //! join (Fig. II). A coordinate's `up` therefore counts frames only, and
 //! the compiler adds the child units in between to get the unit depth of
 //! [`Instr::LoadOuter`] / [`Instr::StoreOuter`]. Each unit's slots past its
-//! frame layout hold the hidden `seq` / `i` of its sequential `for` loops.
+//! frame layout hold the hidden `seq` / `i` of its sequential `for` loops;
+//! `seq` holds a copy of an array taken at loop entry.
 
 use crate::bytecode::*;
 use std::collections::HashMap;
 use tetra_ast::pretty::expr_to_source;
-use tetra_ast::{AssignOp, BinOp, Block, Expr, ExprKind, NodeId, Stmt, StmtKind, Target, UnOp};
+use tetra_ast::{
+    AssignOp, BinOp, Block, Expr, ExprKind, NodeId, Stmt, StmtKind, Target, Type, UnOp,
+};
 use tetra_stdlib::Builtin;
 use tetra_types::{Callee, TypedProgram};
 
@@ -343,8 +346,16 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 }
             }
             StmtKind::For { var_id, iter, body, .. } => {
-                // seq → hidden slot; i → hidden slot; loop with Index.
+                // seq → hidden slot; i → hidden slot; loop with Index. The
+                // loop iterates its entry snapshot, as on the interpreter:
+                // an array is copied unless it is a literal, which no other
+                // name can reach. Strings are immutable.
                 self.expr(iter);
+                if matches!(self.comp.typed.type_of(iter.id), Type::Array(_))
+                    && !matches!(iter.kind, ExprKind::Array(_) | ExprKind::Range { .. })
+                {
+                    self.emit(Instr::CallBuiltin(Builtin::Copy, 1));
+                }
                 let seq = self.define_hidden();
                 self.emit(Instr::StoreLocal(seq));
                 let zero = self.comp.intern(Const::Int(0));

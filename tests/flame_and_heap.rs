@@ -139,7 +139,7 @@ fn lock_contention_is_attributed_to_call_paths() {
 /// then the four `parallel for` workers), recorded from a scheduler that
 /// emitted one dispatch event per instruction whenever several threads
 /// were runnable.
-const PRIMES_T4_THREAD_INSTRUCTIONS: [u64; 5] = [327, 649282, 759787, 799029, 824718];
+const PRIMES_T4_THREAD_INSTRUCTIONS: [u64; 5] = [328, 649282, 759787, 799029, 824718];
 
 /// Instructions executed ahead of the virtual clock are reported once, by
 /// the dispatch event of the quantum that ran them: the dispatch counts
