@@ -4,7 +4,7 @@
 //! answer is computed independently in Rust.
 
 use proptest::prelude::*;
-use tetra::Tetra;
+use tetra::{BufferConsole, InterpConfig, Tetra, VmConfig};
 
 fn run_both(src: &str) -> String {
     Tetra::compile(src)
@@ -205,6 +205,34 @@ def main():
     print(sum(fill(0, 3)) / 2, \" \", sum(fill(3, 3)) / 2, \" \", sum(fill(2, 0.5)))
 ";
     assert_eq!(run_both(src), "0.0\n0.0 0.0\n0.0 0.0\n0 4 1.0\n");
+}
+
+#[test]
+fn a_for_loop_iterates_its_entry_snapshot() {
+    // The first iteration overwrites the last entry and appends; the loop
+    // still sees the four items `arr` held at entry, at every thread count.
+    let src = "\
+def main():
+    arr = [1, 2, 3, 4]
+    total = 0
+    for x in arr:
+        if x == 1:
+            arr[3] = 200
+            append(arr, 1000)
+        total += x
+    print(total)
+";
+    let p = Tetra::compile(src).unwrap_or_else(|e| panic!("{}", e.render()));
+    for workers in [1, 2, 4, 8] {
+        let console = BufferConsole::new();
+        let config = InterpConfig { worker_threads: workers, ..Default::default() };
+        p.run_with(config, console.clone()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(console.output(), "10\n", "interpreter at T={workers}");
+        let console = BufferConsole::new();
+        let config = VmConfig { workers, ..VmConfig::default() };
+        p.simulate_with(config, console.clone()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(console.output(), "10\n", "simulator at T={workers}");
+    }
 }
 
 #[test]

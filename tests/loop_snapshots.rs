@@ -1,9 +1,10 @@
 //! Loop item snapshots. A `for` or `parallel for` copies its items at
 //! loop entry and roots the copy by reference, one entry per loop: a safe
 //! region taken inside the loop publishes O(loop nesting) roots, not
-//! O(items). These tests pin both halves: a loop that blocks every
-//! iteration stays linear, and items the loop has not reached yet stay
-//! alive when the snapshot is their only holder.
+//! O(items). These tests pin three things: a loop that blocks every
+//! iteration stays linear, items the loop has not reached yet stay alive
+//! when the snapshot is their only holder, and the snapshot dies when the
+//! loop ends.
 
 use std::time::{Duration, Instant};
 use tetra::runtime::HeapConfig;
@@ -68,11 +69,11 @@ def main():
 /// allocation an unrooted item would be freed and its slot reused, and
 /// the `k:k²` check or the index sum would break.
 ///
-/// The sequential loop iterates a temporary `copy(arr)`: the simulator's
-/// `for` reads its sequence live rather than from a snapshot, so a loop
-/// over `arr` itself would see the overwrites there. The `parallel for`
-/// body uses names of its own, since a name `main` assigned earlier would
-/// be shared by the workers.
+/// Both loops iterate `arr` itself: a loop iterates the items its
+/// sequence held at entry, on both engines, so the overwrites change what
+/// later iterations find in `arr` but never which items they get. The
+/// `parallel for` body uses names of its own, since a name `main` assigned
+/// earlier would be shared by the workers.
 const SNAPSHOT_ROOTING: &str = "\
 def refill(arr [string]):
     i = 0
@@ -86,7 +87,7 @@ def main():
     refill(arr)
     seq = 0
     seq_ok = 0
-    for s in copy(arr):
+    for s in arr:
         parts = split(s, \":\")
         k = int(parts[0])
         arr[(k + 1) % n] = \"fresh\" + str(k)
@@ -128,4 +129,44 @@ fn snapshot_items_stay_rooted_under_gc_stress() {
     let config = VmConfig { gc: stress, ..VmConfig::default() };
     p.simulate_with(config, console.clone()).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(console.output(), expected, "simulator");
+}
+
+/// A `parallel for` over 200 strings whose array is then dropped: after
+/// `gc()` nothing of the loop is live, neither the items nor a worker's
+/// last `t`. The simulator's workers let go of the loop's feed when they
+/// finish, as the interpreter's loop drops its snapshot.
+const RETAIN: &str = "\
+def main():
+    big = fill(0, \"\")
+    i = 0
+    while i < 200:
+        append(big, \"s\" + str(i))
+        i += 1
+    parallel for s in big:
+        t = s + \"!\"
+    big = fill(0, \"\")
+    gc()
+    print(len(big))
+";
+
+#[test]
+fn a_finished_loop_leaves_nothing_live_on_either_engine() {
+    let p = compile(RETAIN);
+    for workers in [1, 4] {
+        let console = BufferConsole::new();
+        let config = InterpConfig { worker_threads: workers, ..Default::default() };
+        let interp = p.run_with(config, console.clone()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(console.output(), "0\n");
+        for dynamic_chunking in [true, false] {
+            let console = BufferConsole::new();
+            let config = VmConfig { workers, dynamic_chunking, ..VmConfig::default() };
+            let sim = p.simulate_with(config, console.clone()).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(console.output(), "0\n");
+            assert_eq!(
+                sim.gc.live_objects, interp.gc.live_objects,
+                "T={workers}, dynamic chunking {dynamic_chunking}: simulator {:?}, interpreter {:?}",
+                sim.gc, interp.gc
+            );
+        }
+    }
 }
