@@ -19,7 +19,7 @@ USAGE:
   tetra tokens <file.tet>           dump the token stream
   tetra ast <file.tet>              dump the AST
   tetra pretty <file.tet>           re-print canonical source
-  tetra disasm <file.tet> [--fold]  compile to bytecode and disassemble
+  tetra disasm <file.tet>           compile to bytecode and disassemble
   tetra sim <file.tet> [--threads N] [--gil] [--static-chunks] [--trace out.json] [--metrics]
                        [--heap-profile]
                                     deterministic virtual-time run (VM; --gil
@@ -47,7 +47,6 @@ struct Opts {
     static_chunks: bool,
     /// `tetra profile`: run the simulator instead of the interpreter.
     sim: bool,
-    fold: bool,
     trace: Option<String>,
     metrics: bool,
     heap_profile: bool,
@@ -66,7 +65,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         no_detect: false,
         static_chunks: false,
         sim: false,
-        fold: false,
         trace: None,
         metrics: false,
         heap_profile: false,
@@ -108,7 +106,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--no-detect" => o.no_detect = true,
             "--static-chunks" => o.static_chunks = true,
             "--sim" => o.sim = true,
-            "--fold" => o.fold = true,
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}`\n\n{USAGE}"))
             }
@@ -326,20 +323,7 @@ fn pretty(args: &[String]) -> Result<(), String> {
 fn disasm(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
     let (program, _) = compile_file(need_file(&o)?)?;
-    let (program, note) = if o.fold {
-        let (opt, stats) = program.optimized().map_err(|e| e.render())?;
-        (
-            opt,
-            format!(
-                "; folded {} expression(s), pruned {} branch(es), removed {} loop(s)\n",
-                stats.expressions_folded, stats.branches_pruned, stats.loops_removed
-            ),
-        )
-    } else {
-        (program, String::new())
-    };
     let bc = program.bytecode();
-    print!("{note}");
     println!("; {} unit(s), {} instruction(s)", bc.units.len(), bc.instruction_count());
     print!("{}", tetra::vm::disassemble(&bc));
     Ok(())

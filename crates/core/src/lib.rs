@@ -162,15 +162,6 @@ impl Tetra {
         tetra_vm::compile(&self.typed)
     }
 
-    /// Constant-fold the program (semantics-preserving, error-preserving)
-    /// and return the optimized program plus fold statistics.
-    pub fn optimized(&self) -> Result<(Tetra, tetra_vm::FoldStats), CompileError> {
-        let (folded, stats) = tetra_vm::fold_program(&self.typed.program);
-        let typed = tetra_types::check(folded)
-            .map_err(|diagnostics| CompileError { diagnostics, source: self.source.clone() })?;
-        Ok((Tetra { typed: Arc::new(typed), source: self.source.clone() }, stats))
-    }
-
     /// Run deterministically on the VM scheduler with default settings.
     pub fn simulate(&self, console: ConsoleRef) -> Result<SimStats, RuntimeError> {
         self.simulate_with(VmConfig::default(), console)

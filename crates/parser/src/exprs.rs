@@ -28,7 +28,7 @@ const MAX_EXPR_DEPTH: u32 = 48;
 /// Maximum depth of the expression tree the parser builds. The parser
 /// reads a left-associative chain such as `1 + 1 + … + 1` or `s[0][0]…`
 /// in a loop, but the tree it builds is as deep as the chain is long, and
-/// every later pass (checker, resolver, folder, compiler, both engines,
+/// every later pass (checker, resolver, compiler, both engines,
 /// `Drop`) recurses once per level.
 pub(crate) const MAX_TREE_DEPTH: u32 = 8_000;
 

@@ -166,7 +166,12 @@ impl LockRegistry {
                 if let Some(cycle) = self.find_cycle(&waiting, tid, lock as u32) {
                     break Err(RuntimeError::new(
                         ErrorKind::Deadlock,
-                        format!("deadlock: {}", self.describe_cycle(&cycle)),
+                        format!(
+                            "deadlock: {} — completing a cycle",
+                            describe_waits(
+                                cycle.iter().map(|&(t, l)| (t, self.cells[l as usize].name))
+                            )
+                        ),
                         line,
                     ));
                 }
@@ -281,16 +286,15 @@ impl LockRegistry {
             current = next;
         }
     }
+}
 
-    fn describe_cycle(&self, cycle: &[(u32, u32)]) -> String {
-        let parts: Vec<String> = cycle
-            .iter()
-            .map(|&(tid, lock)| {
-                format!("thread {tid} waits for lock `{}`", self.cells[lock as usize].name)
-            })
-            .collect();
-        format!("{} — completing a cycle", parts.join(", which is held by a thread where "))
-    }
+/// A deadlock's wait-for chain, worded the same by both engines: each
+/// (thread, lock) pair is a thread waiting for a lock that the next pair's
+/// thread holds.
+pub fn describe_waits(chain: impl Iterator<Item = (u32, Symbol)>) -> String {
+    let waits: Vec<String> =
+        chain.map(|(tid, lock)| format!("thread {tid} waits for lock `{lock}`")).collect();
+    waits.join(", which is held by a thread where ")
 }
 
 #[cfg(test)]

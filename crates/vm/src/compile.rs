@@ -28,8 +28,13 @@ use tetra_types::{Callee, TypedProgram};
 
 /// Compile a checked program to bytecode.
 pub fn compile(typed: &TypedProgram) -> CompiledProgram {
-    let mut c =
-        Compiler { typed, units: Vec::new(), consts: Vec::new(), const_map: HashMap::new() };
+    let mut c = Compiler {
+        typed,
+        units: Vec::new(),
+        consts: Vec::new(),
+        const_map: HashMap::new(),
+        spawns: Vec::new(),
+    };
     let num_funcs = typed.program.funcs.len();
     // Reserve function unit slots so thunk indices follow them.
     for f in &typed.program.funcs {
@@ -40,6 +45,7 @@ pub fn compile(typed: &TypedProgram) -> CompiledProgram {
             nlocals: 0,
             code: Vec::new(),
             lines: Vec::new(),
+            ops: Vec::new(),
         });
     }
     for (idx, f) in typed.program.funcs.iter().enumerate() {
@@ -58,7 +64,7 @@ pub fn compile(typed: &TypedProgram) -> CompiledProgram {
     }
     let main = typed.program.func_index("main").unwrap_or(0) as u16;
     let lock_names = typed.resolution.lock_names().to_vec();
-    CompiledProgram { units: c.units, num_funcs, consts: c.consts, lock_names, main }
+    CompiledProgram::new(c.units, num_funcs, c.consts, c.spawns, lock_names, main)
 }
 
 #[derive(PartialEq, Eq, Hash)]
@@ -75,6 +81,7 @@ struct Compiler<'t> {
     units: Vec<CodeUnit>,
     consts: Vec<Const>,
     const_map: HashMap<ConstKey, u16>,
+    spawns: Vec<Vec<u16>>,
 }
 
 impl Compiler<'_> {
@@ -253,6 +260,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
             nlocals: part.nlocals,
             code: part.code,
             lines: part.lines,
+            ops: Vec::new(),
         });
         idx
     }
@@ -485,14 +493,17 @@ impl<'c, 't> FnCompiler<'c, 't> {
         }
     }
 
-    fn child_thunks(&mut self, body: &'t Block) -> Vec<u16> {
+    /// Compile each child statement into a thunk; returns the index of
+    /// their list in `spawns`.
+    fn child_thunks(&mut self, body: &'t Block) -> u32 {
         let mut out = Vec::with_capacity(body.stmts.len());
         for (i, child) in body.stmts.iter().enumerate() {
             let name = format!("parallel@{}#{i}", child.span.line);
             let t = self.thunk(UnitKind::ParallelChild, name, 0, 0, |me| me.stmt(child));
             out.push(t);
         }
-        out
+        self.comp.spawns.push(out);
+        (self.comp.spawns.len() - 1) as u32
     }
 
     fn assign(&mut self, target: &'t Target, op: AssignOp, value: &'t Expr) {

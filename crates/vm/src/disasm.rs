@@ -65,8 +65,8 @@ fn render(instr: &Instr, program: &CompiledProgram) -> String {
         Instr::Assert { text: Some(i) } => format!("assert msg={}", konst(i)),
         Instr::EnterLock(i) => format!("lock.enter {:?}", program.lock_name(*i)),
         Instr::ExitLock(i) => format!("lock.exit {:?}", program.lock_name(*i)),
-        Instr::Parallel(ts) => format!("parallel {ts:?}"),
-        Instr::Background(ts) => format!("background {ts:?}"),
+        Instr::Parallel(s) => format!("parallel {:?}", program.spawns[*s as usize]),
+        Instr::Background(s) => format!("background {:?}", program.spawns[*s as usize]),
         Instr::ParallelFor(t) => format!("parallel.for thunk={t}"),
         Instr::TryPush(h) => format!("try.push handler={h}"),
         Instr::TryPop => "try.pop".into(),

@@ -30,14 +30,12 @@
 pub mod bytecode;
 pub mod compile;
 pub mod disasm;
-pub mod fold;
 pub mod sched;
 pub mod vm;
 
 pub use bytecode::{CompiledProgram, Instr};
 pub use compile::compile;
 pub use disasm::disassemble;
-pub use fold::{fold_program, FoldStats};
 pub use sched::{run, CostModel, SimStats, VmConfig};
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 use crate::bytecode::CompiledProgram;
 use crate::vm::{CostClass, Feed, FeedShare, Outcome, Registry, Table, VmState, VmThread, World};
 use std::{rc::Rc, sync::Arc};
+use tetra_runtime::locks::describe_waits;
 use tetra_runtime::{
     ConsoleRef, ErrorKind, GcStats, Heap, HeapConfig, MutatorGuard, RuntimeError, Value,
 };
@@ -333,16 +334,10 @@ impl<'p> Scheduler<'p> {
                     break;
                 }
                 // Deadlock (or a join that can never complete): raise into
-                // the first blocked thread — a `try:` there can catch it,
-                // mirroring the interpreter's detect-at-acquire behaviour.
-                let blocked = self.threads.iter().find_map(|t| match t.state {
-                    VmState::BlockedLock(lock) => Some((t.id, lock)),
-                    _ => None,
-                });
-                let Some((victim, want)) = blocked else {
-                    return Err(self.stuck_error());
-                };
-                let err = RuntimeError::new(ErrorKind::Deadlock, self.stuck_error().message, 0);
+                // the thread whose block closed the cycle — a `try:` there
+                // can catch it, mirroring the interpreter's detect-at-acquire
+                // behaviour.
+                let (victim, want, err) = self.deadlock()?;
                 // Remove the victim from the wait queue and unwind it.
                 self.locks[want as usize].waiters.retain(|w| *w != victim);
                 self.thread(victim).state = VmState::Runnable;
@@ -664,8 +659,10 @@ impl<'p> Scheduler<'p> {
                     Some(_) => {
                         entry.waiters.push(tid);
                         self.lock_contentions += 1;
+                        let order = self.lock_contentions;
                         let t = self.thread(tid);
                         t.block_start = (tetra_obs::now_ns(), line);
+                        t.block_order = order;
                         t.state = VmState::BlockedLock(lock);
                         Ok(())
                     }
@@ -821,32 +818,55 @@ impl<'p> Scheduler<'p> {
         Ok(())
     }
 
-    fn stuck_error(&self) -> RuntimeError {
-        let blocked: Vec<String> = self
-            .threads
-            .iter()
-            .filter_map(|t| match t.state {
-                VmState::BlockedLock(lock) => Some(format!(
-                    "thread {} waits for lock `{}`",
-                    t.id,
-                    self.program.lock_name(lock)
-                )),
-                _ => None,
-            })
-            .collect();
-        if blocked.is_empty() {
+    /// Every live thread waits: the blocked thread to raise the deadlock
+    /// in, the lock it waits for, and the error. On a lock cycle that is
+    /// the cycle's last thread to block, the one whose block closed it,
+    /// with the wait-for chain in the interpreter's words
+    /// (`tetra_runtime::locks`) and the line of its `lock` statement. With
+    /// no cycle (a lock held by a thread that joins its waiters) it is the
+    /// last thread to block; with no thread blocked, the run fails.
+    fn deadlock(&self) -> Result<(u32, u16, RuntimeError), RuntimeError> {
+        let mut blocked: Vec<&VmThread> =
+            self.threads.iter().filter(|t| matches!(t.state, VmState::BlockedLock(_))).collect();
+        blocked.sort_by_key(|t| std::cmp::Reverse(t.block_order));
+        let last = *blocked.first().ok_or_else(|| {
             RuntimeError::new(
                 ErrorKind::ThreadError,
                 "simulation stuck: threads joining children that never finish (VM bug)",
                 0,
             )
-        } else {
-            RuntimeError::new(
-                ErrorKind::Deadlock,
-                format!("deadlock: {}", blocked.join(", which is held while ")),
-                0,
-            )
+        })?;
+        let (t, (chain, closed)) = blocked
+            .iter()
+            .map(|t| (*t, self.wait_chain(t.id)))
+            .find(|(_, (_, closed))| *closed)
+            .unwrap_or_else(|| (last, self.wait_chain(last.id)));
+        let waits =
+            describe_waits(chain.iter().map(|&(id, l)| (id, self.program.lock_names[l as usize])));
+        let end =
+            if closed { " — completing a cycle" } else { ", which is held by a joining thread" };
+        let message = format!("deadlock: {waits}{end}");
+        Ok((t.id, chain[0].1, RuntimeError::new(ErrorKind::Deadlock, message, t.block_start.1)))
+    }
+
+    /// The wait-for chain from blocked thread `tid`: (thread, lock it
+    /// waits for) pairs, following each lock to its holder while the
+    /// holder is blocked on a lock; and whether it leads back to `tid`.
+    fn wait_chain(&self, tid: u32) -> (Vec<(u32, u16)>, bool) {
+        let mut chain = Vec::new();
+        let mut id = tid;
+        while let VmState::BlockedLock(lock) = self.threads[id as usize].state {
+            if chain.len() > self.threads.len() {
+                break; // a cycle that does not pass through `tid`
+            }
+            chain.push((id, lock));
+            match self.locks[lock as usize].holder {
+                Some(holder) if holder == tid => return (chain, true),
+                Some(holder) => id = holder,
+                None => break,
+            }
         }
+        (chain, false)
     }
 }
 

@@ -14,7 +14,7 @@
 //! ("already mutably borrowed"). A shared one, such as a builtin's argument
 //! slice, keeps its values rooted.
 
-use crate::bytecode::{CompiledProgram, Const, Instr};
+use crate::bytecode::{CompiledProgram, Const, Instr, Op, Then};
 use std::{cell::Cell, cell::RefCell, rc::Rc, rc::Weak, sync::Arc};
 use tetra_runtime::{
     ConsoleRef, ErrorKind, Heap, MutatorGuard, Object, RootSink, RootSource, RuntimeError,
@@ -236,8 +236,12 @@ pub struct VmThread {
     /// Trace timestamp of thread creation (0 when tracing is off).
     pub trace_start_ns: u64,
     /// Trace timestamp of the blocking acquire in progress, with the
-    /// `lock` statement's line (used when the thread is woken).
+    /// `lock` statement's line (used when the thread is woken, and as the
+    /// line of a deadlock error).
     pub block_start: (u64, u32),
+    /// The run's contended-wait count when the thread last blocked on a
+    /// lock: of the threads on a lock cycle, the last to block closed it.
+    pub block_order: u64,
     /// Shadow call-path node this thread was spawned under: the seed for
     /// its outermost frame, and for re-fed parallel-for worker frames.
     pub shadow_root: u32,
@@ -323,6 +327,7 @@ impl VmThread {
             error: None,
             trace_start_ns: tetra_obs::now_ns(),
             block_start: (0, 0),
+            block_order: 0,
         }
     }
 
@@ -356,19 +361,16 @@ impl VmThread {
         self.stack.borrow_mut().push(v);
     }
 
+    fn underflow(&self, program: &CompiledProgram) -> RuntimeError {
+        self.err(program, ErrorKind::Value, "VM stack underflow (compiler bug)")
+    }
+
     fn pop(&self, program: &CompiledProgram) -> Result<Value, RuntimeError> {
-        self.stack
-            .borrow_mut()
-            .pop()
-            .ok_or_else(|| self.err(program, ErrorKind::Value, "VM stack underflow (compiler bug)"))
+        self.stack.borrow_mut().pop().ok_or_else(|| self.underflow(program))
     }
 
     fn peek(&self, program: &CompiledProgram) -> Result<Value, RuntimeError> {
-        self.stack
-            .borrow()
-            .last()
-            .copied()
-            .ok_or_else(|| self.err(program, ErrorKind::Value, "VM stack underflow (compiler bug)"))
+        self.stack.borrow().last().copied().ok_or_else(|| self.underflow(program))
     }
 
     /// [`VmThread::top_n`] without allocating.
@@ -397,10 +399,10 @@ impl VmThread {
 
     /// Execute a run of *private* instructions under one mutable borrow of
     /// the frame's locals and one of the operand stack, instead of
-    /// borrowing both for every instruction. A private instruction reads
-    /// and writes only this thread's own frame locals and operand stack:
-    /// non-string `Const`, `LoadLocal`, `StoreLocal`, the jumps, `Pop`,
-    /// `Dup2`, scalar `Bin`/`Neg`/`Not` and `Widen`.
+    /// borrowing both for every instruction. The run goes over the unit's
+    /// decoded ops ([`Op`]): a fused op runs whole when the quantum has room
+    /// for all its parts and none of them declines; otherwise its first
+    /// part runs alone as the plain op, and the run goes on.
     ///
     /// Returns how many instructions ran (possibly 0); every one of them is
     /// `CostClass::Basic`. The scheduler uses it for the sole runnable
@@ -421,147 +423,30 @@ impl VmThread {
             return 0;
         };
         let unit = program.unit(frame.unit);
-        let code = &unit.code;
-        // Most calls that find nothing to do stop at the first opcode:
-        // decide that before borrowing either table.
-        if !is_private(&code[frame.ip], program) {
+        // Most calls that find nothing to do stop at the first op: decide
+        // that before borrowing either table.
+        if matches!(unit.ops[frame.ip], Op::Shared) {
             return 0;
         }
         let octx =
             ops::OpCtx { heap: world.heap, mutator: world.mutator, roots: world.registry, line: 0 };
         let mut locals = frame.locals.borrow_mut();
         let mut stack = self.stack.borrow_mut();
-        let mut ip = frame.ip;
-        let mut n: u32 = 0;
+        let (mut ip, mut n) = (frame.ip, 0);
         while n < max {
-            match &code[ip] {
-                Instr::Const(i) => match &program.consts[*i as usize] {
-                    Const::None => stack.push(Value::None),
-                    Const::Int(v) => stack.push(Value::Int(*v)),
-                    Const::Real(v) => stack.push(Value::Real(*v)),
-                    Const::Bool(v) => stack.push(Value::Bool(*v)),
-                    Const::Str(_) => break, // allocates
-                },
-                Instr::LoadLocal(i) => {
-                    let v = locals[*i as usize];
-                    if matches!(v, Value::None) {
-                        break; // unassigned read: error via step()
-                    }
-                    stack.push(v);
-                }
-                Instr::StoreLocal(i) => {
-                    let slot = &mut locals[*i as usize];
-                    if n > 0 && slot.as_obj().is_some() {
-                        break; // would drop a heap reference early
-                    }
-                    let Some(v) = stack.pop() else { break };
-                    *slot = v;
-                }
-                Instr::Jump(t) => {
-                    ip = *t as usize;
-                    n += 1;
-                    continue;
-                }
-                Instr::JumpIfFalse(t) => match stack.last() {
-                    Some(Value::Bool(b)) => {
-                        let b = *b;
-                        stack.pop();
-                        if !b {
-                            ip = *t as usize;
-                            n += 1;
-                            continue;
-                        }
-                    }
-                    _ => break, // non-bool condition: error via step()
-                },
-                Instr::JumpIfFalsePeek(t) => match stack.last() {
-                    Some(Value::Bool(false)) => {
-                        ip = *t as usize;
-                        n += 1;
-                        continue;
-                    }
-                    Some(Value::Bool(true)) => {}
-                    _ => break,
-                },
-                Instr::JumpIfTruePeek(t) => match stack.last() {
-                    Some(Value::Bool(true)) => {
-                        ip = *t as usize;
-                        n += 1;
-                        continue;
-                    }
-                    Some(Value::Bool(false)) => {}
-                    _ => break,
-                },
-                Instr::Pop => match stack.last() {
-                    Some(v) if n == 0 || v.as_obj().is_none() => {
-                        stack.pop();
-                    }
-                    _ => break, // would drop a heap reference early, or underflow
-                },
-                Instr::Dup2 => {
-                    let len = stack.len();
-                    if len < 2 {
-                        break;
-                    }
-                    let (a, b) = (stack[len - 2], stack[len - 1]);
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Instr::Bin(op) => {
-                    let len = stack.len();
-                    if len < 2 {
-                        break;
-                    }
-                    let (l, r) = (stack[len - 2], stack[len - 1]);
-                    let v = match ops::scalar_binary(*op, l, r) {
-                        Some(v) => v,
-                        // Scalar operands can neither allocate nor be
-                        // GC-moved; objects (string/array concat) go
-                        // through step().
-                        None if l.as_obj().is_some() || r.as_obj().is_some() => break,
-                        None => match ops::binary(&octx, *op, l, r) {
-                            Ok(v) => v,
-                            Err(_) => break, // re-raise via step() with a line
-                        },
-                    };
-                    stack.truncate(len - 2);
-                    stack.push(v);
-                }
-                Instr::Neg => {
-                    let Some(&v) = stack.last() else { break };
-                    if v.as_obj().is_some() {
-                        break;
-                    }
-                    match ops::negate(&octx, v) {
-                        Ok(r) => {
-                            stack.pop();
-                            stack.push(r);
-                        }
-                        Err(_) => break,
-                    }
-                }
-                Instr::Not => {
-                    let Some(&v) = stack.last() else { break };
-                    if v.as_obj().is_some() {
-                        break;
-                    }
-                    match ops::not(&octx, v) {
-                        Ok(r) => {
-                            stack.pop();
-                            stack.push(r);
-                        }
-                        Err(_) => break,
-                    }
-                }
-                Instr::Widen => {
-                    let Some(&v) = stack.last() else { break };
-                    stack.pop();
-                    stack.push(ops::widen(v));
-                }
-                _ => break,
-            }
-            ip += 1;
-            n += 1;
+            let (first, room) = (n == 0, max - n);
+            let op = unit.ops[ip];
+            // A fused op that cannot run whole runs its first part alone (a
+            // plain op declines again).
+            let Some((next, k)) = run_op(op, ip, first, room, &octx, &mut locals, &mut stack)
+                .or_else(|| {
+                    let plain = Op::plain(&unit.code[ip], &program.consts);
+                    run_op(plain, ip, first, 1, &octx, &mut locals, &mut stack)
+                })
+            else {
+                break;
+            };
+            (ip, n) = (next, n + k);
         }
         drop(stack);
         drop(locals);
@@ -578,19 +463,32 @@ impl VmThread {
         world: &World<'_, 'p>,
     ) -> Result<(Outcome<'p>, CostClass), RuntimeError> {
         let program = world.program;
-        let frame = self.frames.last().expect("step on a finished thread");
+        let frame = self.frames.last_mut().expect("step on a finished thread");
         let unit = program.unit(frame.unit);
         let instr = &unit.code[frame.ip];
-        let line = unit.line_at(frame.ip);
         self.instructions += 1;
+        let mut octx =
+            ops::OpCtx { heap: world.heap, mutator: world.mutator, roots: world.registry, line: 0 };
+        let op = Op::plain(instr, &program.consts);
+        if !matches!(op, Op::Shared) {
+            let mut locals = frame.locals.borrow_mut();
+            if let Some((next, _)) =
+                run_op(op, frame.ip, true, 1, &octx, &mut locals, &mut self.stack.borrow_mut())
+            {
+                drop(locals);
+                frame.ip = next;
+                return Ok((Outcome::Normal, CostClass::Basic));
+            }
+        }
+        // A shared instruction, or a private one whose handler declined:
+        // it raises, or takes the allocating path.
+        let line = unit.line_at(frame.ip);
+        octx.line = line;
         if tetra_obs::heap_profile_enabled() {
             // Any allocation this instruction performs is charged to the
             // current call path and source line.
             tetra_obs::heapprof::set_site(frame.shadow_node, line);
         }
-
-        let octx =
-            ops::OpCtx { heap: world.heap, mutator: world.mutator, roots: world.registry, line };
 
         let mut cost = CostClass::Basic;
         let mut advance = true;
@@ -598,32 +496,45 @@ impl VmThread {
 
         match *instr {
             Instr::Const(i) => {
-                let v = match &program.consts[i as usize] {
-                    Const::None => Value::None,
-                    Const::Int(v) => Value::Int(*v),
-                    Const::Real(v) => Value::Real(*v),
-                    Const::Bool(v) => Value::Bool(*v),
-                    Const::Str(s) => {
-                        cost = CostClass::Alloc;
-                        world.heap.alloc_str(world.mutator, world.registry, s.clone())
-                    }
+                let Const::Str(s) = &program.consts[i as usize] else {
+                    unreachable!("a scalar constant is private")
                 };
+                let v = world.heap.alloc_str(world.mutator, world.registry, s.clone());
                 self.push(v);
+                cost = CostClass::Alloc;
             }
-            Instr::LoadLocal(i) => {
-                let v = self.frames.last().unwrap().locals.borrow()[i as usize];
-                if matches!(v, Value::None) {
-                    return Err(self.err(
-                        program,
-                        ErrorKind::UndefinedVariable,
-                        "a variable was read before any assignment",
-                    ));
+            Instr::LoadLocal(_) => {
+                return Err(self.err(
+                    program,
+                    ErrorKind::UndefinedVariable,
+                    "a variable was read before any assignment",
+                ));
+            }
+            Instr::StoreLocal(_) | Instr::Pop | Instr::Dup2 | Instr::Widen => {
+                return Err(self.underflow(program));
+            }
+            Instr::Jump(_) => unreachable!("a jump is private"),
+            Instr::JumpIfFalse(_) | Instr::JumpIfFalsePeek(_) | Instr::JumpIfTruePeek(_) => {
+                let v = self.peek(program)?;
+                return Err(self.truthy(program, v).expect_err("a bool condition is private"));
+            }
+            Instr::Neg | Instr::Not => {
+                let v = self.peek(program)?;
+                let r = if matches!(instr, Instr::Neg) {
+                    ops::negate(&octx, v)
+                } else {
+                    ops::not(&octx, v)
+                };
+                return Err(r.expect_err("a scalar result is private"));
+            }
+            Instr::Bin(op) => {
+                // Object operands (string or array `+`) or an operator error.
+                let [l, r] = self.top();
+                let r = ops::binary(&octx, op, l, r)?;
+                self.replace_top(2, r);
+                if r.as_obj().is_some() {
+                    cost = CostClass::Alloc;
                 }
-                self.push(v);
-            }
-            Instr::StoreLocal(i) => {
-                let v = self.pop(program)?;
-                self.frames.last().unwrap().locals.borrow_mut()[i as usize] = v;
             }
             Instr::LoadOuter(d, i) => {
                 cost = CostClass::SharedAccess;
@@ -641,60 +552,6 @@ impl VmThread {
                 cost = CostClass::SharedAccess;
                 let v = self.pop(program)?;
                 self.frames.last().unwrap().outer(d).borrow_mut()[i as usize] = v;
-            }
-            Instr::Bin(op) => {
-                let [l, r] = self.top();
-                let r = ops::binary(&octx, op, l, r)?;
-                self.replace_top(2, r);
-                if r.as_obj().is_some() {
-                    cost = CostClass::Alloc;
-                }
-            }
-            Instr::Neg => {
-                let v = self.peek(program)?;
-                let r = ops::negate(&octx, v)?;
-                self.replace_top(1, r);
-            }
-            Instr::Not => {
-                let v = self.peek(program)?;
-                let r = ops::not(&octx, v)?;
-                self.replace_top(1, r);
-            }
-            Instr::Widen => {
-                let v = self.peek(program)?;
-                self.replace_top(1, ops::widen(v));
-            }
-            Instr::Pop => {
-                self.pop(program)?;
-            }
-            Instr::Dup2 => {
-                let [a, b] = self.top();
-                self.stack.borrow_mut().extend([a, b]);
-            }
-            Instr::Jump(t) => {
-                self.frames.last_mut().unwrap().ip = t as usize;
-                advance = false;
-            }
-            Instr::JumpIfFalse(t) => {
-                let v = self.pop(program)?;
-                if !self.truthy(program, v)? {
-                    self.frames.last_mut().unwrap().ip = t as usize;
-                    advance = false;
-                }
-            }
-            Instr::JumpIfFalsePeek(t) => {
-                let v = self.peek(program)?;
-                if !self.truthy(program, v)? {
-                    self.frames.last_mut().unwrap().ip = t as usize;
-                    advance = false;
-                }
-            }
-            Instr::JumpIfTruePeek(t) => {
-                let v = self.peek(program)?;
-                if self.truthy(program, v)? {
-                    self.frames.last_mut().unwrap().ip = t as usize;
-                    advance = false;
-                }
             }
             Instr::Call(f, argc) => {
                 let argc = argc as usize;
@@ -857,11 +714,11 @@ impl VmThread {
             Instr::ExitLock(c) => {
                 outcome = Outcome::Unlocked { lock: c };
             }
-            Instr::Parallel(ref thunks) => {
-                outcome = Outcome::Spawn { thunks, join: true };
+            Instr::Parallel(s) => {
+                outcome = Outcome::Spawn { thunks: &program.spawns[s as usize], join: true };
             }
-            Instr::Background(ref thunks) => {
-                outcome = Outcome::Spawn { thunks, join: false };
+            Instr::Background(s) => {
+                outcome = Outcome::Spawn { thunks: &program.spawns[s as usize], join: false };
             }
             Instr::TryPush(handler_ip) => {
                 self.handlers.push(Handler {
@@ -933,30 +790,159 @@ impl VmThread {
     }
 }
 
-/// Whether [`VmThread::step_quantum`] may run `instr` at all (it still
-/// checks the operands: scalar `Bin`, no object dropped, ...).
-fn is_private(instr: &Instr, program: &CompiledProgram) -> bool {
-    match instr {
-        Instr::Const(i) => !matches!(program.consts[*i as usize], Const::Str(_)),
-        Instr::LoadLocal(_)
-        | Instr::StoreLocal(_)
-        | Instr::Jump(_)
-        | Instr::JumpIfFalse(_)
-        | Instr::JumpIfFalsePeek(_)
-        | Instr::JumpIfTruePeek(_)
-        | Instr::Pop
-        | Instr::Dup2
-        | Instr::Bin(_)
-        | Instr::Neg
-        | Instr::Not
-        | Instr::Widen => true,
-        _ => false,
+/// Run the private op `op` at `ip` on a thread's frame locals and operand
+/// stack: the one implementation of each private opcode, for both
+/// [`VmThread::step_quantum`] and [`VmThread::step`]. Returns the next ip
+/// and how many instructions ran, or `None` — with nothing changed — when
+/// the op declines: an unassigned read, a non-bool condition, an operator
+/// error, an object operand of `Bin` (it may allocate), stack underflow,
+/// or, unless `first`, dropping a heap reference (a `StoreLocal` over an
+/// object, a `Pop` of an object). A fused op also declines when it has
+/// more parts than `room`, when any part would decline, or when its `Bin`
+/// is not `int op int`; its parts after the first are never `first`.
+#[inline(always)]
+fn run_op(
+    op: Op,
+    ip: usize,
+    first: bool,
+    room: u32,
+    octx: &ops::OpCtx,
+    locals: &mut [Value],
+    stack: &mut Vec<Value>,
+) -> Option<(usize, u32)> {
+    let jump = |taken: bool, t: u32| Some((if taken { t as usize } else { ip + 1 }, 1));
+    match op {
+        Op::Shared => return None,
+        Op::PushNone => stack.push(Value::None),
+        Op::PushInt(v) => stack.push(Value::Int(v)),
+        Op::PushReal(v) => stack.push(Value::Real(v)),
+        Op::PushBool(v) => stack.push(Value::Bool(v)),
+        Op::LoadLocal(i) => stack.push(load(locals, i)?),
+        Op::StoreLocal(i) => {
+            let v = *stack.last()?;
+            store(locals, i, v, first)?;
+            stack.pop();
+        }
+        Op::Jump(t) => return jump(true, t),
+        Op::JumpIfFalse(t) => {
+            let b = stack.last()?.as_bool()?;
+            stack.pop();
+            return jump(!b, t);
+        }
+        Op::JumpIfFalsePeek(t) => return jump(!stack.last()?.as_bool()?, t),
+        Op::JumpIfTruePeek(t) => return jump(stack.last()?.as_bool()?, t),
+        Op::Pop => {
+            if !first && stack.last()?.as_obj().is_some() {
+                return None;
+            }
+            stack.pop();
+        }
+        Op::Dup2 => {
+            let [a, b] = *stack.last_chunk()?;
+            stack.extend([a, b]);
+        }
+        Op::Neg => {
+            let v = stack.last_mut()?;
+            *v = ops::negate(octx, *v).ok()?;
+        }
+        Op::Not => {
+            let v = stack.last_mut()?;
+            *v = ops::not(octx, *v).ok()?;
+        }
+        Op::Widen => {
+            let v = stack.last_mut()?;
+            *v = ops::widen(*v);
+        }
+        Op::Bin(op, Then::Push) => {
+            // Scalar operands only: objects (string and array `+`) may
+            // allocate, and `step` raises an error with its line.
+            let [l, r] = *stack.last_chunk()?;
+            let v = match ops::scalar_binary(op, l, r) {
+                Some(v) => v,
+                None if l.as_obj().is_some() || r.as_obj().is_some() => return None,
+                None => ops::binary(octx, op, l, r).ok()?,
+            };
+            stack.pop();
+            *stack.last_mut()? = v;
+        }
+        // A fused `Bin`'s fast path is `int op int`; other operands run
+        // the plain op.
+        Op::Bin(op, then) => {
+            let [l, r] = *stack.last_chunk()?;
+            let v = ops::scalar_binary(op, l, r)?;
+            return bin_then(v, 2, (ip, 1, room), then, locals, stack);
+        }
+        Op::LoadLoadBin(a, b, op, then) => {
+            let v = ops::scalar_binary(op, load(locals, a)?, load(locals, b)?)?;
+            return bin_then(v, 0, (ip, 3, room), then, locals, stack);
+        }
+        Op::LoadIntBin(a, c, op, then) => {
+            let v = ops::scalar_binary(op, load(locals, a)?, Value::Int(c.into()))?;
+            return bin_then(v, 0, (ip, 3, room), then, locals, stack);
+        }
+        Op::LoadBin(b, op, then) => {
+            let v = ops::scalar_binary(op, *stack.last()?, load(locals, b)?)?;
+            return bin_then(v, 1, (ip, 2, room), then, locals, stack);
+        }
+        Op::IntBin(c, op, then) => {
+            let v = ops::scalar_binary(op, *stack.last()?, Value::Int(c.into()))?;
+            return bin_then(v, 1, (ip, 2, room), then, locals, stack);
+        }
     }
+    Some((ip + 1, 1))
+}
+
+/// The end of a `Bin` op at `ip` whose result is `v`: its `used` stack
+/// operands are replaced by `v`, or the instruction after the `Bin`
+/// (fused as `then`, never the quantum's first) stores or branches on
+/// it. The op's `parts` are the instructions up to its `Bin`; it declines
+/// when, with `then`, they are more than `room`.
+#[inline(always)]
+fn bin_then(
+    v: Value,
+    used: usize,
+    (ip, parts, room): (usize, u32, u32),
+    then: Then,
+    locals: &mut [Value],
+    stack: &mut Vec<Value>,
+) -> Option<(usize, u32)> {
+    let k = parts + u32::from(then != Then::Push);
+    if k > room {
+        return None;
+    }
+    let target = match then {
+        Then::Push => None,
+        Then::StoreLocal(slot) => store(locals, slot, v, false).map(|()| None)?,
+        Then::JumpIfFalse(t) => (!v.as_bool()?).then_some(t as usize),
+    };
+    stack.truncate(stack.len() - used);
+    if then == Then::Push {
+        stack.push(v);
+    }
+    Some((target.unwrap_or(ip + k as usize), k))
+}
+
+/// `StoreLocal`'s rule: unless `first`, a store over an object declines.
+#[inline(always)]
+fn store(locals: &mut [Value], slot: u16, v: Value, first: bool) -> Option<()> {
+    let slot = &mut locals[slot as usize];
+    if !first && slot.as_obj().is_some() {
+        return None;
+    }
+    *slot = v;
+    Some(())
+}
+
+/// `LoadLocal`'s rule: an unassigned slot declines (`step` raises).
+#[inline(always)]
+fn load(locals: &[Value], slot: u16) -> Option<Value> {
+    Some(locals[slot as usize]).filter(|v| !matches!(v, Value::None))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tetra_ast::BinOp;
 
     /// Number of weak entries the registry tracks (live + not-yet-purged
     /// dead).
@@ -977,14 +963,10 @@ mod tests {
             nlocals: 2,
             code,
             lines,
+            ops: Vec::new(),
         };
-        let program = CompiledProgram {
-            units: vec![unit],
-            num_funcs: 1,
-            consts: vec![Const::Int(7)],
-            lock_names: Vec::new(),
-            main: 0,
-        };
+        let program =
+            CompiledProgram::new(vec![unit], 1, vec![Const::Int(7)], Vec::new(), Vec::new(), 0);
         let heap = Heap::new(tetra_runtime::HeapConfig::default());
         let mutator = heap.register_mutator();
         let registry = Registry::default();
@@ -1038,6 +1020,224 @@ mod tests {
     fn quantum_runs_nothing_at_a_shared_instruction() {
         assert_eq!(quantum(vec![Instr::LoadOuter(1, 0), Instr::Return]), (0, 0));
         assert_eq!(quantum(vec![Instr::Return]), (0, 0));
+    }
+
+    #[test]
+    fn quantum_stops_before_an_object_store_inside_a_fused_op() {
+        // `Const; Bin; StoreLocal 0` decodes to one fused op whose store
+        // would overwrite the array: its parts run alone up to the store.
+        let code = vec![
+            Instr::Const(0),
+            Instr::Const(0),
+            Instr::Bin(BinOp::Add),
+            Instr::StoreLocal(0),
+            Instr::Return,
+        ];
+        assert!(matches!(decoded(&code)[1], Op::IntBin(7, BinOp::Add, Then::StoreLocal(0))));
+        assert_eq!(quantum(code), (3, 3));
+    }
+
+    #[test]
+    fn quantum_stops_before_popping_an_object_after_a_fused_op() {
+        // The fused `Const; Bin` runs, the `Pop` of its int result runs, and
+        // the `Pop` of the array below it is left to `step`.
+        let code = vec![
+            Instr::Const(0),
+            Instr::Const(0),
+            Instr::Bin(BinOp::Mul),
+            Instr::Pop,
+            Instr::Pop,
+            Instr::Return,
+        ];
+        assert!(matches!(decoded(&code)[1], Op::IntBin(7, BinOp::Mul, Then::Push)));
+        assert_eq!(quantum(code), (4, 4));
+    }
+
+    #[test]
+    fn a_fused_op_with_an_object_operand_runs_its_parts_alone() {
+        // Local 0 holds an array: the fused `LoadLocal 0; Const; Bin`
+        // declines, its load runs alone, and the `Bin` is left to `step`.
+        let code =
+            vec![Instr::LoadLocal(0), Instr::Const(0), Instr::Bin(BinOp::Add), Instr::Return];
+        assert!(matches!(decoded(&code)[0], Op::LoadIntBin(0, 7, BinOp::Add, Then::Push)));
+        assert_eq!(quantum(code), (2, 2));
+    }
+
+    fn decoded(code: &[Instr]) -> Vec<Op> {
+        crate::bytecode::decode(code, &[Const::Int(7)])
+    }
+
+    /// Constants the equivalence test's `Const`s refer to: ints inside and
+    /// outside the 32 bits a fused op carries, a real, bools, none and a
+    /// string (which only `step` may run).
+    fn equivalence_consts() -> Vec<Const> {
+        vec![
+            Const::Int(0),
+            Const::Int(2),
+            Const::Int(-5),
+            Const::Int(1 << 40),
+            Const::Real(0.5),
+            Const::Bool(true),
+            Const::Bool(false),
+            Const::None,
+            Const::Str("s".into()),
+        ]
+    }
+
+    /// A run of private instructions (or a string `Const`) from three
+    /// random bytes: one instruction, or a fusable `Bin` with its operand
+    /// loads and, maybe, the store or branch after it. Jump targets are
+    /// raw bytes, wrapped into the code by the caller.
+    fn private_run(kind: u8, a: u8, b: u8) -> Vec<Instr> {
+        use BinOp::*;
+        const OPS: [BinOp; 11] = [Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Gt, Le, Ge];
+        let konst = |x: u8| Instr::Const(u16::from(x) % equivalence_consts().len() as u16);
+        let (slot, op) = (|x: u8| u16::from(x % 4), OPS[b as usize % OPS.len()]);
+        let then = match b / 64 {
+            0 => vec![Instr::StoreLocal(slot(a / 4))],
+            1 => vec![Instr::JumpIfFalse(u32::from(a))],
+            _ => Vec::new(),
+        };
+        let mut run = match kind % 16 {
+            0 | 1 => return vec![konst(a)],
+            2 | 3 => return vec![Instr::LoadLocal(slot(a))],
+            4 => return vec![Instr::StoreLocal(slot(a))],
+            5 => return vec![Instr::Bin(op)],
+            6 => return vec![Instr::JumpIfFalse(u32::from(a))],
+            7 => {
+                let t = u32::from(a);
+                let jumps = [Instr::Jump(t), Instr::JumpIfFalsePeek(t), Instr::JumpIfTruePeek(t)];
+                return vec![jumps[b as usize % 3].clone()];
+            }
+            8 => return vec![Instr::Pop],
+            9 => return vec![Instr::Dup2],
+            10 => return vec![[Instr::Neg, Instr::Not, Instr::Widen][a as usize % 3].clone()],
+            11 => vec![Instr::LoadLocal(slot(a)), Instr::LoadLocal(slot(a / 4)), Instr::Bin(op)],
+            12 => vec![Instr::LoadLocal(slot(a)), konst(a / 4), Instr::Bin(op)],
+            13 => vec![Instr::LoadLocal(slot(a)), Instr::Bin(op)],
+            14 => vec![konst(a), Instr::Bin(op)],
+            _ => vec![Instr::Bin(op)],
+        };
+        run.extend(then);
+        run
+    }
+
+    /// `instr` with its jump target set to `t`.
+    fn retarget(instr: Instr, t: u32) -> Instr {
+        match instr {
+            Instr::Jump(_) => Instr::Jump(t),
+            Instr::JumpIfFalse(_) => Instr::JumpIfFalse(t),
+            Instr::JumpIfFalsePeek(_) => Instr::JumpIfFalsePeek(t),
+            Instr::JumpIfTruePeek(_) => Instr::JumpIfTruePeek(t),
+            other => other,
+        }
+    }
+
+    /// An int (zero included), real, bool, none or the array object, from
+    /// a random byte; ints are the likeliest.
+    fn operand(k: u8, array: Value) -> Value {
+        match k % 10 {
+            0 => Value::None,
+            1 => Value::Int(3),
+            2 => Value::Int(-7),
+            3 => Value::Int(0),
+            4 => Value::Int(12),
+            5 => Value::Int(i64::MAX),
+            6 => Value::Real(2.5),
+            7 => Value::Bool(true),
+            8 => Value::Bool(false),
+            _ => array,
+        }
+    }
+
+    /// Object references held in the thread's stack and frame locals.
+    fn object_refs(t: &VmThread) -> usize {
+        let (stack, locals) = (t.stack.borrow(), t.frames[0].locals.borrow());
+        stack.iter().chain(locals.iter()).filter(|v| v.as_obj().is_some()).count()
+    }
+
+    fn machine_state(t: &VmThread) -> String {
+        let f = &t.frames[0];
+        format!(
+            "stack {:?} locals {:?} ip {} n {}",
+            t.stack.borrow(),
+            f.locals.borrow(),
+            f.ip,
+            t.instructions
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// One quantum over the decoded and fused ops leaves the machine
+        /// exactly as that many single `step`s over the plain code do.
+        #[test]
+        fn a_quantum_runs_like_single_steps(
+            runs in proptest::collection::vec((0u8..16, 0u8..=255, 0u8..=255), 1..8),
+            locals in proptest::collection::vec(0u8..10, 3),
+            stack in proptest::collection::vec(0u8..10, 0..4),
+            max in 1u32..=8,
+        ) {
+            use crate::bytecode::{CodeUnit, UnitKind};
+            let mut code: Vec<Instr> =
+                runs.iter().flat_map(|&(kind, a, b)| private_run(kind, a, b)).collect();
+            let len = code.len() as u32;
+            for instr in &mut code {
+                let t = match *instr {
+                    Instr::Jump(t)
+                    | Instr::JumpIfFalse(t)
+                    | Instr::JumpIfFalsePeek(t)
+                    | Instr::JumpIfTruePeek(t) => t % (len + 1),
+                    _ => continue,
+                };
+                *instr = retarget(instr.clone(), t);
+            }
+            code.push(Instr::Return);
+            let unit = CodeUnit {
+                name: "main".into(),
+                kind: UnitKind::Function,
+                params: 0,
+                nlocals: 4,
+                lines: vec![1; code.len()],
+                code,
+                ops: Vec::new(),
+            };
+            let program =
+                CompiledProgram::new(vec![unit], 1, equivalence_consts(), Vec::new(), Vec::new(), 0);
+            let heap = Heap::new(tetra_runtime::HeapConfig::default());
+            let mutator = heap.register_mutator();
+            let registry = Registry::default();
+            let console: ConsoleRef = tetra_runtime::BufferConsole::with_input(&[]);
+            let array = Value::Obj(heap.alloc(&mutator, &registry, Object::array(Vec::new())));
+            let world =
+                World { program: &program, heap: &heap, mutator: &mutator, registry: &registry, console: &console };
+            let thread = || {
+                // Slot 3 starts as the array, so stores over an object are
+                // common.
+                let init = locals.iter().map(|&k| operand(k, array)).chain([array]).collect();
+                let t = VmThread::new(0, None, 0, registry.new_table(init), None, &registry, 0);
+                t.stack.borrow_mut().extend(stack.iter().map(|&k| operand(k, array)));
+                t
+            };
+            let (mut quantum, mut single) = (thread(), thread());
+            let n = quantum.step_quantum(&world, max);
+            proptest::prop_assert!(n <= max);
+            let mut refs = usize::MAX;
+            for _ in 0..n {
+                let stepped = single.step(&world);
+                let (outcome, cost) =
+                    stepped.map_err(|e| proptest::TestCaseError::fail(e.to_string()))?;
+                proptest::prop_assert!(matches!(outcome, Outcome::Normal));
+                proptest::prop_assert_eq!(cost, CostClass::Basic);
+                // Only the quantum's first instruction may drop a heap
+                // reference.
+                let now = object_refs(&single);
+                proptest::prop_assert!(refs == usize::MAX || now >= refs, "an object was dropped");
+                refs = now;
+            }
+            proptest::prop_assert_eq!(machine_state(&quantum), machine_state(&single));
+        }
     }
 
     #[test]

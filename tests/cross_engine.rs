@@ -296,6 +296,47 @@ def main():
     assert_eq!(run_both(src), "assert failed: x > 5\nx is 3\n");
 }
 
+/// A deadlock error's kind, message with thread ids masked (each engine
+/// numbers its own threads), and line.
+fn masked_deadlock(e: tetra::runtime::RuntimeError) -> (tetra::runtime::ErrorKind, String, u32) {
+    let mut words: Vec<&str> = e.message.split(' ').collect();
+    for i in 1..words.len() {
+        if words[i - 1] == "thread" && words[i].bytes().all(|b| b.is_ascii_digit()) {
+            words[i] = "N";
+        }
+    }
+    (e.kind, words.join(" "), e.line)
+}
+
+/// Both engines report a deadlock in the thread whose block closed the
+/// cycle, with the wait-for chain in the same words and the line of that
+/// thread's `lock`. The simulator's schedule has `right` close it at line
+/// 12. The interpreter's threads race on real time, so either arm may
+/// close it there; every report must be one of the two, and the
+/// simulator's must come up within 20 runs.
+#[test]
+fn deadlock_reports_agree() {
+    use tetra::runtime::ErrorKind::Deadlock;
+    let p = Tetra::compile(&tetra_suite::example_source("deadlock.tet")).unwrap();
+    let sim = masked_deadlock(p.simulate(BufferConsole::new()).expect_err("the sim deadlocks"));
+    let chain = |first: &str, second: &str| {
+        format!(
+            "deadlock: thread N waits for lock `{first}`, which is held by a thread where \
+             thread N waits for lock `{second}` — completing a cycle"
+        )
+    };
+    assert_eq!(sim, (Deadlock, chain("a", "b"), 12));
+    let left_closes = (Deadlock, chain("b", "a"), 6);
+    for _ in 0..20 {
+        let interp = masked_deadlock(p.run_captured(&[]).expect_err("the interpreter deadlocks"));
+        if interp == sim {
+            return;
+        }
+        assert_eq!(interp, left_closes);
+    }
+    panic!("in 20 interpreter runs, `right` never closed the cycle");
+}
+
 /// What a scalar parity row must do on both engines.
 enum Expect {
     /// Print exactly this.

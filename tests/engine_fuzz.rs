@@ -204,29 +204,6 @@ proptest! {
         outcomes_agree(&src)?;
     }
 
-    /// Constant folding must never change behaviour — including which
-    /// programs error (division by a folded-to-zero expression, overflow).
-    #[test]
-    fn folded_programs_behave_identically(
-        stmts in prop::collection::vec(stmt_strategy(3), 1..8)
-    ) {
-        let src = render_program(&stmts);
-        let p = Tetra::compile(&src).expect("original compiles");
-        let (folded, _stats) = tetra::vm::fold_program(&p.typed().program);
-        let folded_src = tetra::ast::pretty::to_source(&folded);
-        let p2 = match Tetra::compile(&folded_src) {
-            Ok(p) => p,
-            Err(e) => return Err(TestCaseError::fail(format!(
-                "folded program failed to compile: {e}\n{folded_src}"
-            ))),
-        };
-        let r1: Result<String, ErrorKind> =
-            p.run_captured(&[]).map(|(o, _)| o).map_err(|e| e.kind);
-        let r2: Result<String, ErrorKind> =
-            p2.run_captured(&[]).map(|(o, _)| o).map_err(|e| e.kind);
-        prop_assert_eq!(r1, r2, "folding changed behaviour:\n{}\nvs folded\n{}", src, folded_src);
-    }
-
     /// Pretty-printing a generated program and re-parsing it must preserve
     /// behaviour exactly (parser/printer round-trip at the semantic level).
     #[test]

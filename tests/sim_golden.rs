@@ -230,18 +230,18 @@ counter.tet T=4 static ve=7149 ins=1935 thr=5 lc=324 gc=0/1 freed=0 live=1 out="
 counter.tet T=8 default ve=7320 ins=2483 thr=9 lc=872 gc=0/1 freed=0 live=1 out="200\n"
 counter.tet T=8 gil ve=13707 ins=2579 thr=9 lc=968 gc=0/1 freed=0 live=1 out="200\n"
 counter.tet T=8 static ve=7147 ins=2077 thr=9 lc=466 gc=0/1 freed=0 live=1 out="200\n"
-deadlock.tet T=1 default err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=1 gil err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=1 static err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=2 default err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=2 gil err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=2 static err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=4 default err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=4 gil err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=4 static err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=8 default err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=8 gil err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
-deadlock.tet T=8 static err="runtime error: deadlock: thread 1 waits for lock `b`, which is held while thread 2 waits for lock `a` (deadlock detected)" out=""
+deadlock.tet T=1 default err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=1 gil err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=1 static err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=2 default err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=2 gil err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=2 static err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=4 default err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=4 gil err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=4 static err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=8 default err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=8 gil err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
+deadlock.tet T=8 static err="runtime error at line 12: deadlock: thread 2 waits for lock `a`, which is held by a thread where thread 1 waits for lock `b` — completing a cycle (deadlock detected)" out=""
 factorial.tet T=1 default ve=673 ins=129 thr=1 lc=0 gc=0/2 freed=0 live=2 out="enter n: \n10! = 3628800\n"
 factorial.tet T=1 gil ve=673 ins=129 thr=1 lc=0 gc=0/2 freed=0 live=2 out="enter n: \n10! = 3628800\n"
 factorial.tet T=1 static ve=673 ins=129 thr=1 lc=0 gc=0/2 freed=0 live=2 out="enter n: \n10! = 3628800\n"
