@@ -10,7 +10,8 @@ tetra — the Tetra educational parallel programming language
 USAGE:
   tetra run <file.tet> [--threads N] [--gc-stress] [--gc-stats]
                        [--no-detect] [--trace out.json] [--metrics] [--heap-profile]
-  tetra profile <file.tet> [--threads N] [--flame out.folded] [--sim [--gil] [--static-chunks]]
+  tetra profile <file.tet> [--threads N] [--flame out.folded]
+                           [--gc-stress] [--no-detect] | [--sim [--gil] [--static-chunks]]
                                     run with tracing and print a profile report
                                     (--flame also writes collapsed stacks for
                                     flame-graph tools; --sim profiles the
@@ -25,17 +26,21 @@ USAGE:
                                     deterministic virtual-time run (VM; --gil
                                     models a global interpreter lock,
                                     --static-chunks one contiguous chunk per worker)
-  tetra trace <file.tet> [--threads N]
+  tetra trace <file.tet> [--threads N] [--gc-stress] [--no-detect]
                                     run with tracing: thread timeline + data races
-  tetra debug <file.tet> [--threads N]
+  tetra debug <file.tet> [--threads N] [--gc-stress] [--no-detect]
                                     interactive parallel debugger (per-thread stepping)
   tetra bench <primes|tsp|sum|gil> [--threads 1,2,4,8] [--scale N]
                                     reproduce the paper's speedup tables (virtual time)
+
+Each command rejects an option it does not take.
 ";
 
 /// Parse `--flag value` style options out of the argument list.
 struct Opts {
     positional: Vec<String>,
+    /// The options given, in order.
+    given: Vec<String>,
     threads: Option<usize>,
     thread_list: Vec<usize>,
     scale: Option<i64>,
@@ -56,6 +61,7 @@ struct Opts {
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         positional: Vec::new(),
+        given: Vec::new(),
         threads: None,
         thread_list: vec![1, 2, 4, 8],
         scale: None,
@@ -72,6 +78,9 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a.starts_with("--") {
+            o.given.push(a.clone());
+        }
         match a.as_str() {
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
@@ -113,6 +122,22 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         }
     }
     Ok(o)
+}
+
+impl Opts {
+    /// Fail on the first option given that command `cmd` does not read.
+    fn reads_only(&self, cmd: &str, reads: &[&str]) -> Result<(), String> {
+        let Some(flag) = self.given.iter().find(|f| !reads.contains(&f.as_str())) else {
+            return Ok(());
+        };
+        let hint = match flag.as_str() {
+            "--gil" | "--static-chunks" => {
+                format!(": it is a simulator option (`tetra sim {flag}`)")
+            }
+            _ => String::new(),
+        };
+        Err(format!("`tetra {cmd}` does not take `{flag}`{hint}"))
+    }
 }
 
 /// Tell the user when an exported trace is incomplete: per-thread ring
@@ -210,24 +235,24 @@ fn need_file(o: &Opts) -> Result<&str, String> {
     o.positional.first().map(|s| s.as_str()).ok_or_else(|| USAGE.to_string())
 }
 
-/// The interpreter has no GIL: `--gil` is the simulator's cost model, so an
-/// interpreter command given it fails rather than silently ignoring it.
-fn interp_config(o: &Opts) -> Result<InterpConfig, String> {
-    if o.gil {
-        return Err("`--gil` is a simulator option: use `tetra sim --gil`".to_string());
-    }
+/// The options [`interp_config`] reads.
+const INTERP: [&str; 3] = ["--threads", "--gc-stress", "--no-detect"];
+
+fn interp_config(o: &Opts) -> InterpConfig {
     let mut c = InterpConfig::default();
     if let Some(t) = o.threads {
         c.worker_threads = t;
     }
     c.gc.stress = o.gc_stress;
     c.detect_deadlocks = !o.no_detect;
-    Ok(c)
+    c
 }
 
 fn run(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
-    let config = interp_config(&o)?;
+    let reads = ["--gc-stats", "--trace", "--metrics", "--heap-profile"];
+    o.reads_only("run", &[&INTERP[..], &reads].concat())?;
+    let config = interp_config(&o);
     let (program, _src) = compile_file(need_file(&o)?)?;
     let result = observed(&o, || program.run_with(config, Arc::new(StdConsole)))?;
     let stats = result.map_err(|e| e.to_string())?;
@@ -257,7 +282,10 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn profile(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
-    let config = if o.sim { None } else { Some(interp_config(&o)?) };
+    let engine: &[&str] =
+        if o.sim { &["--threads", "--sim", "--gil", "--static-chunks"] } else { &INTERP };
+    o.reads_only("profile", &[&["--flame"], engine].concat())?;
+    let config = if o.sim { None } else { Some(interp_config(&o)) };
     let (program, src) = compile_file(need_file(&o)?)?;
     tetra::obs::session::begin(tetra::obs::session::Config::default());
     let result = match config {
@@ -280,6 +308,7 @@ fn profile(args: &[String]) -> Result<(), String> {
 
 fn check(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    o.reads_only("check", &[])?;
     let (program, _) = compile_file(need_file(&o)?)?;
     let stats = tetra::ast::visit::ParallelStats::of(&program.typed().program);
     println!(
@@ -298,6 +327,7 @@ fn check(args: &[String]) -> Result<(), String> {
 
 fn tokens(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    o.reads_only("tokens", &[])?;
     let src = read_source(need_file(&o)?)?;
     let toks = tetra::lexer::tokenize(&src).map_err(|e| e.render(&src))?;
     for t in toks {
@@ -308,6 +338,7 @@ fn tokens(args: &[String]) -> Result<(), String> {
 
 fn ast(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    o.reads_only("ast", &[])?;
     let (program, _) = compile_file(need_file(&o)?)?;
     print!("{}", tetra::ast::pretty::tree(&program.typed().program));
     Ok(())
@@ -315,6 +346,7 @@ fn ast(args: &[String]) -> Result<(), String> {
 
 fn pretty(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    o.reads_only("pretty", &[])?;
     let (program, _) = compile_file(need_file(&o)?)?;
     print!("{}", tetra::ast::pretty::to_source(&program.typed().program));
     Ok(())
@@ -322,6 +354,7 @@ fn pretty(args: &[String]) -> Result<(), String> {
 
 fn disasm(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    o.reads_only("disasm", &[])?;
     let (program, _) = compile_file(need_file(&o)?)?;
     let bc = program.bytecode();
     println!("; {} unit(s), {} instruction(s)", bc.units.len(), bc.instruction_count());
@@ -341,6 +374,8 @@ fn sim_config(o: &Opts) -> VmConfig {
 
 fn sim(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    let reads = ["--threads", "--gil", "--static-chunks", "--trace", "--metrics", "--heap-profile"];
+    o.reads_only("sim", &reads)?;
     let (program, _) = compile_file(need_file(&o)?)?;
     let cfg = sim_config(&o);
     let result = observed(&o, || program.simulate_with(cfg, Arc::new(StdConsole)))?;
@@ -354,7 +389,8 @@ fn sim(args: &[String]) -> Result<(), String> {
 
 fn trace(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
-    let config = interp_config(&o)?;
+    o.reads_only("trace", &INTERP)?;
+    let config = interp_config(&o);
     let (program, _) = compile_file(need_file(&o)?)?;
     let dbg = tetra::debugger::Debugger::tracer();
     let interp = program.debug(config, Arc::new(StdConsole), dbg.clone());
@@ -375,13 +411,15 @@ fn trace(args: &[String]) -> Result<(), String> {
 
 fn debug(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
-    let config = interp_config(&o)?;
+    o.reads_only("debug", &INTERP)?;
+    let config = interp_config(&o);
     let (program, src) = compile_file(need_file(&o)?)?;
     debug_cli::interactive(program, src, config)
 }
 
 fn bench(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
+    o.reads_only("bench", &["--threads", "--scale"])?;
     let which = o.positional.first().map(|s| s.as_str()).unwrap_or("primes");
     let threads = o.thread_list.clone();
     let (title, src) = match which {
@@ -435,6 +473,35 @@ mod tests {
             let err = dispatch(&args(&[cmd, file, "--gil"])).unwrap_err();
             assert!(err.contains("tetra sim --gil"), "{cmd}: {err}");
         }
+    }
+
+    #[test]
+    fn each_command_rejects_an_option_it_does_not_read() {
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/tetra/parallel_sum.tet");
+        let cases = [
+            ("sim", "--gc-stress"),
+            ("sim", "--gc-stats"),
+            ("sim", "--no-detect"),
+            ("run", "--static-chunks"),
+            ("run", "--flame"),
+            ("run", "--scale"),
+            ("profile", "--static-chunks"),
+            ("trace", "--metrics"),
+            ("disasm", "--threads"),
+            ("bench", "--gc-stats"),
+        ];
+        for (cmd, flag) in cases {
+            let mut a = args(&[cmd, file, flag]);
+            if matches!(flag, "--flame" | "--scale" | "--threads") {
+                a.push("2".into());
+            }
+            let err = dispatch(&a).unwrap_err();
+            assert!(err.starts_with(&format!("`tetra {cmd}` does not take `{flag}`")), "{err}");
+        }
+        // `tetra profile --sim` reads the simulator's options, not the
+        // interpreter's.
+        let err = dispatch(&args(&["profile", file, "--sim", "--gc-stress"])).unwrap_err();
+        assert!(err.starts_with("`tetra profile` does not take `--gc-stress`"), "{err}");
     }
 
     #[test]

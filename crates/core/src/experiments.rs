@@ -1,11 +1,10 @@
 //! The experiment harness: regenerates the numbers of the paper's
 //! evaluation (§IV) — see DESIGN.md §3 for the experiment index.
 //!
-//! Speedup is measured two ways:
-//! * **virtual time** on the deterministic VM scheduler (the documented
-//!   substitution for the paper's 8-core testbed — reproducible anywhere);
-//! * **wall clock** on the real-thread interpreter (meaningful only on a
-//!   multi-core host; reported as-is for honesty).
+//! Speedup is measured in **virtual time** on the deterministic VM
+//! scheduler, the documented substitution for the paper's 8-core testbed,
+//! reproducible anywhere. Wall-clock speedup on the real-thread
+//! interpreter is perfbench's `run_t1_ms`/`run_t2_ms`.
 
 use crate::{CompileError, Tetra};
 use tetra_runtime::{BufferConsole, RuntimeError};
@@ -16,7 +15,7 @@ use tetra_vm::{CostModel, VmConfig};
 #[derive(Debug, Clone)]
 pub struct SpeedupRow {
     pub threads: usize,
-    /// Virtual elapsed time (simulation units) or wall nanoseconds.
+    /// Virtual elapsed time (simulation units).
     pub elapsed: u64,
     pub speedup: f64,
     pub efficiency: f64,
@@ -68,20 +67,6 @@ pub fn simulated_speedup_with(
         let cfg = VmConfig { workers: t, cost: cost.clone(), ..VmConfig::default() };
         let stats = program.simulate_with(cfg, console)?;
         elapsed.push((t, stats.virtual_elapsed));
-    }
-    Ok(rows_from(elapsed))
-}
-
-/// Wall-clock speedup sweep on the real-thread interpreter.
-pub fn wallclock_speedup(src: &str, threads: &[usize]) -> Result<Vec<SpeedupRow>, ExperimentError> {
-    let program = Tetra::compile(src)?;
-    let mut elapsed = Vec::with_capacity(threads.len());
-    for &t in threads {
-        let console = BufferConsole::new();
-        let config = crate::InterpConfig { worker_threads: t, ..crate::InterpConfig::default() };
-        let start = std::time::Instant::now();
-        program.run_with(config, console)?;
-        elapsed.push((t, start.elapsed().as_nanos() as u64));
     }
     Ok(rows_from(elapsed))
 }

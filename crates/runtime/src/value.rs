@@ -50,13 +50,6 @@ impl Value {
         }
     }
 
-    pub fn as_real(&self) -> Option<f64> {
-        match self {
-            Value::Real(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(v) => Some(*v),

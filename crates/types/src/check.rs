@@ -88,8 +88,6 @@ fn decode(c: u32) -> Option<Callee> {
 #[derive(Debug, Clone)]
 pub struct TypedProgram {
     pub program: Program,
-    /// Type of every expression, keyed by its `NodeId`.
-    pub expr_types: HashMap<NodeId, Type>,
     /// Resolution of every call expression, indexed by the call's `NodeId`.
     pub callees: Callees,
     /// Inferred type of each local, keyed by (function index, name): the
@@ -102,14 +100,11 @@ pub struct TypedProgram {
     /// One bit per `NodeId`: set on each `int` expression whose value is
     /// stored where the static type is `real`.
     widened: Vec<u64>,
+    /// One bit per `NodeId`: set on each array a sequential `for` copies.
+    copied: Vec<u64>,
 }
 
 impl TypedProgram {
-    /// The type the checker assigned to an expression.
-    pub fn type_of(&self, id: NodeId) -> &Type {
-        &self.expr_types[&id]
-    }
-
     /// Inferred type of a local variable in function `func`.
     #[cfg(test)]
     pub fn var_type(&self, func: usize, name: &str) -> Option<&Type> {
@@ -127,9 +122,29 @@ impl TypedProgram {
     /// variable, container or `sum` never holds an int.
     #[inline]
     pub fn widens(&self, value: NodeId) -> bool {
-        let i = value.0 as usize;
-        self.widened.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
+        has(&self.widened, value)
     }
+
+    /// Whether a sequential `for` copies the array its iterable `iter`
+    /// evaluates to, so the loop runs over the items it held at entry. An
+    /// array literal or range is not copied: no other name can reach it.
+    /// Strings are immutable, and a `parallel for` takes a snapshot of its
+    /// own.
+    #[inline]
+    pub fn copies_items(&self, iter: NodeId) -> bool {
+        has(&self.copied, iter)
+    }
+}
+
+#[inline]
+fn has(bits: &[u64], id: NodeId) -> bool {
+    let i = id.0 as usize;
+    bits.get(i / 64).is_some_and(|w| w & (1 << (i % 64)) != 0)
+}
+
+fn set(bits: &mut [u64], id: NodeId) {
+    let i = id.0 as usize;
+    bits[i / 64] |= 1 << (i % 64);
 }
 
 /// Type-check a parsed program. On failure, every diagnostic found is
@@ -144,12 +159,12 @@ pub fn check(program: Program) -> Result<TypedProgram, Vec<Diagnostic>> {
         let resolution = crate::resolve::resolve(&program);
         Ok(TypedProgram {
             program,
-            expr_types: checker.expr_types,
             callees: checker.callees,
             #[cfg(test)]
             var_types: checker.var_types,
             resolution,
             widened: checker.widened,
+            copied: checker.copied,
         })
     } else {
         Err(checker.errors)
@@ -165,12 +180,13 @@ struct FuncSig {
 struct Checker {
     sigs: HashMap<Symbol, FuncSig>,
     errors: Vec<Diagnostic>,
-    expr_types: HashMap<NodeId, Type>,
     callees: Callees,
     #[cfg(test)]
     var_types: HashMap<(usize, Symbol), Type>,
     /// See [`TypedProgram::widens`].
     widened: Vec<u64>,
+    /// See [`TypedProgram::copies_items`].
+    copied: Vec<u64>,
     // Per-function state:
     locals: HashMap<Symbol, Type>,
     current_func: usize,
@@ -202,11 +218,11 @@ impl Checker {
         Checker {
             sigs,
             errors: Vec::new(),
-            expr_types: HashMap::new(),
             callees: Callees::new(program.node_count),
             #[cfg(test)]
             var_types: HashMap::new(),
             widened: vec![0; (program.node_count as usize).div_ceil(64)],
+            copied: vec![0; (program.node_count as usize).div_ceil(64)],
             locals: HashMap::new(),
             current_func: 0,
             current_ret: Type::None,
@@ -325,19 +341,22 @@ impl Checker {
                 self.loop_depth -= 1;
                 Ok(false)
             }
-            StmtKind::For { var, var_id, iter, body } => {
-                let elem = self.check_iterable(iter)?;
-                self.bind_loop_var(*var, elem.clone(), *var_id, stmt.span)?;
-                self.expr_types.insert(*var_id, elem);
+            StmtKind::For { var, iter, body, .. } => {
+                let (t, elem) = self.check_iterable(iter)?;
+                if matches!(t, Type::Array(_))
+                    && !matches!(iter.kind, ExprKind::Array(_) | ExprKind::Range { .. })
+                {
+                    set(&mut self.copied, iter.id);
+                }
+                self.bind_loop_var(*var, elem, stmt.span)?;
                 self.loop_depth += 1;
                 self.check_block(body);
                 self.loop_depth -= 1;
                 Ok(false)
             }
-            StmtKind::ParallelFor { var, var_id, iter, body } => {
-                let elem = self.check_iterable(iter)?;
-                self.bind_loop_var(*var, elem.clone(), *var_id, stmt.span)?;
-                self.expr_types.insert(*var_id, elem);
+            StmtKind::ParallelFor { var, iter, body, .. } => {
+                let (_, elem) = self.check_iterable(iter)?;
+                self.bind_loop_var(*var, elem, stmt.span)?;
                 let saved = self.parallel_ctx;
                 let saved_depth = self.loop_depth;
                 self.parallel_ctx = Some("parallel for");
@@ -425,7 +444,7 @@ impl Checker {
                 }
                 Ok(false)
             }
-            StmtKind::Try { body, err_name, err_id, handler } => {
+            StmtKind::Try { body, err_name, handler, .. } => {
                 let body_returns = self.check_block(body);
                 // The error variable binds the message as a string.
                 match self.locals.get(err_name) {
@@ -443,14 +462,13 @@ impl Checker {
                         ));
                     }
                 }
-                self.expr_types.insert(*err_id, Type::Str);
                 let handler_returns = self.check_block(handler);
                 Ok(body_returns && handler_returns)
             }
         }
     }
 
-    fn bind_loop_var(&mut self, var: Symbol, elem: Type, _id: NodeId, span: Span) -> CResult<()> {
+    fn bind_loop_var(&mut self, var: Symbol, elem: Type, span: Span) -> CResult<()> {
         match self.locals.get(&var) {
             None => {
                 self.locals.insert(var, elem);
@@ -481,10 +499,11 @@ impl Checker {
         Ok(())
     }
 
-    fn check_iterable(&mut self, iter: &Expr) -> CResult<Type> {
+    /// The types of iterable `iter` and of its items.
+    fn check_iterable(&mut self, iter: &Expr) -> CResult<(Type, Type)> {
         let t = self.infer(iter, None)?;
         match t.element() {
-            Some(elem) => Ok(elem),
+            Some(elem) => Ok((t, elem)),
             None => Err(self.error(format!("cannot iterate over a value of type {t}"), iter.span)),
         }
     }
@@ -497,7 +516,7 @@ impl Checker {
         span: Span,
     ) -> CResult<()> {
         match target {
-            Target::Name { name, span: tspan, id } => {
+            Target::Name { name, span: tspan, .. } => {
                 let expected = self.locals.get(name).cloned();
                 match op.binop() {
                     None => {
@@ -510,8 +529,7 @@ impl Checker {
                                         value.span,
                                     ));
                                 }
-                                self.locals.insert(*name, vt.clone());
-                                self.expr_types.insert(*id, vt);
+                                self.locals.insert(*name, vt);
                             }
                             Some(et) => {
                                 if !compatible(&et, &vt) {
@@ -524,7 +542,6 @@ impl Checker {
                                     ));
                                 }
                                 self.widen_if(&et, &vt, value);
-                                self.expr_types.insert(*id, et);
                             }
                         }
                     }
@@ -544,12 +561,11 @@ impl Checker {
                                 span,
                             ));
                         }
-                        self.expr_types.insert(*id, et);
                     }
                 }
                 Ok(())
             }
-            Target::Index { base, index, id, .. } => {
+            Target::Index { base, index, .. } => {
                 let bt = self.infer(base, None)?;
                 let (elem, key_desc): (Type, &str) = match &bt {
                     Type::Array(t) => {
@@ -608,7 +624,6 @@ impl Checker {
                         span,
                     ));
                 }
-                self.expr_types.insert(*id, elem);
                 Ok(())
             }
         }
@@ -682,12 +697,6 @@ impl Checker {
     /// literals and produces better messages; it is advisory, not checked
     /// here (callers verify compatibility).
     fn infer(&mut self, e: &Expr, expected: Option<&Type>) -> CResult<Type> {
-        let t = self.infer_inner(e, expected)?;
-        self.expr_types.insert(e.id, t.clone());
-        Ok(t)
-    }
-
-    fn infer_inner(&mut self, e: &Expr, expected: Option<&Type>) -> CResult<Type> {
         match &e.kind {
             ExprKind::Int(_) => Ok(Type::Int),
             ExprKind::Real(_) => Ok(Type::Real),
@@ -805,6 +814,7 @@ impl Checker {
                     _ => None,
                 };
                 let mut unified = self.infer(&items[0], expected_elem.as_ref())?;
+                let mut types = vec![unified.clone()];
                 for item in &items[1..] {
                     let t = self.infer(item, Some(&unified))?;
                     unified = match self.unify_numeric(&unified, &t) {
@@ -818,11 +828,11 @@ impl Checker {
                             ))
                         }
                     };
+                    types.push(t);
                 }
                 if unified == Type::Real {
-                    for item in items {
-                        let t = self.expr_types[&item.id].clone();
-                        self.widen_if(&unified, &t, item);
+                    for (item, t) in items.iter().zip(&types) {
+                        self.widen_if(&unified, t, item);
                     }
                 }
                 Ok(Type::array(unified))
@@ -867,6 +877,7 @@ impl Checker {
                 };
                 let mut kt = self.infer(&pairs[0].0, ek.as_ref())?;
                 let mut vt = self.infer(&pairs[0].1, ev.as_ref())?;
+                let mut value_types = vec![vt.clone()];
                 if !kt.is_hashable() {
                     return Err(self.error(
                         format!("{kt} cannot be a dict key (keys must be int, string or bool)"),
@@ -891,12 +902,12 @@ impl Checker {
                             ))
                         }
                     };
+                    value_types.push(vt2);
                     kt = kt2;
                 }
                 if vt == Type::Real {
-                    for (_, v) in pairs {
-                        let t = self.expr_types[&v.id].clone();
-                        self.widen_if(&vt, &t, v);
+                    for ((_, v), t) in pairs.iter().zip(&value_types) {
+                        self.widen_if(&vt, t, v);
                     }
                 }
                 Ok(Type::dict(kt, vt))
@@ -908,8 +919,7 @@ impl Checker {
     /// as an `expected` (see [`TypedProgram::widens`]).
     fn widen_if(&mut self, expected: &Type, actual: &Type, value: &Expr) {
         if *expected == Type::Real && *actual == Type::Int {
-            let i = value.id.0 as usize;
-            self.widened[i / 64] |= 1 << (i % 64);
+            set(&mut self.widened, value.id);
         }
     }
 

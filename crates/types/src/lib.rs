@@ -375,11 +375,24 @@ def main():
     }
 
     #[test]
-    fn expr_types_table_is_populated() {
-        let tp = check_src("def main():\n    x = 1 + 2\n").unwrap();
-        // Literals 1, 2 and the sum all have recorded types.
-        let ints = tp.expr_types.values().filter(|t| **t == Type::Int).count();
-        assert!(ints >= 3, "{:?}", tp.expr_types);
+    fn a_sequential_for_copies_only_an_array_value_that_is_no_literal() {
+        let src = "def main():\n    a = [1, 2]\n    for x in a:\n        pass\n    \
+                   for c in \"ab\":\n        pass\n    for i in [1 ... 3]:\n        pass\n    \
+                   for y in [4, 5]:\n        pass\n    parallel for z in a:\n        pass\n";
+        let tp = check_src(src).unwrap();
+        let copies: Vec<bool> = tp.program.funcs[0]
+            .body
+            .stmts
+            .iter()
+            .filter_map(|s| match &s.kind {
+                tetra_ast::StmtKind::For { iter, .. }
+                | tetra_ast::StmtKind::ParallelFor { iter, .. } => Some(tp.copies_items(iter.id)),
+                _ => None,
+            })
+            .collect();
+        // An array variable; a string, a range literal and an array literal
+        // are not copied, nor is a `parallel for`'s array.
+        assert_eq!(copies, [true, false, false, false, false]);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! The paper lists a native compiler as future work (§VI: "compile Tetra
 //! code into an efficient executable"). This crate is that compilation
 //! path: a stack bytecode with slot-resolved variables (no hash lookups),
-//! plus explicit instructions for Tetra's parallel constructs.
+//! plus explicit instructions for Tetra's parallel constructs. It has one
+//! instruction form, [`Op`], which the compiler emits, the simulator runs
+//! and `tetra disasm` prints; there is no constant pool.
 //!
 //! Parallel constructs compile each child statement / loop body into a
 //! **thunk**: a code unit whose free variables compile to
-//! [`Instr::LoadOuter`] / [`Instr::StoreOuter`] accesses into enclosing
+//! [`Op::LoadOuter`] / [`Op::StoreOuter`] accesses into enclosing
 //! frames — the bytecode-level equivalent of the interpreter's shared
 //! symbol tables.
 
@@ -15,42 +17,31 @@ use tetra_ast::BinOp;
 use tetra_intern::Symbol;
 use tetra_stdlib::Builtin;
 
-/// Compile-time constants.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Const {
-    None,
-    Int(i64),
-    Real(f64),
-    Bool(bool),
-    /// String constants are materialized on the GC heap at execution time.
-    Str(String),
-}
-
-/// One bytecode instruction.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Instr {
-    /// Push constant `consts[i]`.
-    Const(u16),
+/// One bytecode instruction, in the one form the compiler emits, the
+/// simulator runs and `tetra disasm` prints. Numbers are inline; a string
+/// is an index into [`CompiledProgram::strings`].
+///
+/// The private instructions touch only the thread's own frame locals and
+/// operand stack, so `VmThread::step_quantum` runs them ahead of the
+/// clock; the shared ones ([`Op::is_shared`]) may allocate, raise, block
+/// or change the frame stack, and only `VmThread::step` runs them.
+///
+/// [`CompiledProgram::new`] fuses straight-line private runs in place: a
+/// fused op stands at the index of its first part, and the parts keep
+/// their own ops at the following indices, so a jump into the middle of a
+/// run still works. A fused op counts and is charged as its parts, and
+/// [`Op::first_part`] is the plain instruction at its index.
+#[derive(Debug, Clone, Copy)]
+pub enum Op {
+    // ---- private ----------------------------------------------------------
+    PushNone,
+    PushInt(i64),
+    PushReal(f64),
+    PushBool(bool),
     /// Push local slot `i`.
     LoadLocal(u16),
-    /// Pop into local slot `i` (preserving the slot's realness).
+    /// Pop into local slot `i`.
     StoreLocal(u16),
-    /// Push slot `i` of the frame `depth` scopes out (thunks only).
-    LoadOuter(u8, u16),
-    /// Pop into slot `i` of the frame `depth` scopes out.
-    StoreOuter(u8, u16),
-    /// Pop two operands, apply a non-logical binary operator, push result.
-    Bin(BinOp),
-    /// Arithmetic negation of TOS.
-    Neg,
-    /// Logical negation of TOS.
-    Not,
-    /// Convert an int TOS to real (used where the static type says `real`).
-    Widen,
-    /// Pop and discard TOS.
-    Pop,
-    /// Duplicate the top two values (compound index assignment).
-    Dup2,
     /// Unconditional jump to instruction index.
     Jump(u32),
     /// Pop a bool; jump when false.
@@ -59,6 +50,35 @@ pub enum Instr {
     JumpIfFalsePeek(u32),
     /// Peek a bool (no pop); jump when true (for `or`).
     JumpIfTruePeek(u32),
+    /// Pop and discard TOS.
+    Pop,
+    /// Duplicate the top two values (compound index assignment).
+    Dup2,
+    /// Pop two operands, apply a non-logical binary operator, then its
+    /// `Then` (the plain op pushes the result).
+    Bin(BinOp, Then),
+    /// Arithmetic negation of TOS.
+    Neg,
+    /// Logical negation of TOS.
+    Not,
+    /// Convert an int TOS to real (where the checker says it widens).
+    Widen,
+    // ---- fused ------------------------------------------------------------
+    /// `LoadLocal a; LoadLocal b; Bin`, then its `Then`.
+    LoadLoadBin(u16, u16, BinOp, Then),
+    /// `LoadLocal a; PushInt c; Bin` for a `c` that fits 32 bits.
+    LoadIntBin(u16, i32, BinOp, Then),
+    /// `LoadLocal b; Bin`, the left operand on the stack.
+    LoadBin(u16, BinOp, Then),
+    /// `PushInt c; Bin`, the left operand on the stack.
+    IntBin(i32, BinOp, Then),
+    // ---- shared -----------------------------------------------------------
+    /// Push string `strings[i]`, allocated on the GC heap.
+    PushStr(u32),
+    /// Push slot `i` of the frame `depth` scopes out (thunks only).
+    LoadOuter(u8, u16),
+    /// Pop into slot `i` of the frame `depth` scopes out.
+    StoreOuter(u8, u16),
     /// Call user function `unit` with `argc` arguments (pushed in order).
     Call(u16, u8),
     /// Call a builtin with `argc` arguments.
@@ -66,21 +86,23 @@ pub enum Instr {
     /// Return TOS to the caller (every path pushes a value first).
     Return,
     /// Pop `n` values, push a new array.
-    MakeArray(u16),
+    MakeArray(u32),
     /// Pop hi, lo ints; push the inclusive range array.
     MakeRange,
     /// Pop `n` values, push a tuple.
-    MakeTuple(u16),
+    MakeTuple(u32),
     /// Pop `2n` values (k1 v1 k2 v2 ...), push a dict.
-    MakeDict(u16),
+    MakeDict(u32),
     /// Pop index, base; push `base[index]`.
     Index,
     /// Pop value, index, base; perform `base[index] = value`.
     IndexStore,
     /// Pop a message string when `text` is `None`, then a bool; error when
-    /// false, with the popped message or the constant string `consts[t]`
-    /// for `text: Some(t)` (an assert without a message).
-    Assert { text: Option<u16> },
+    /// false, with the popped message or `strings[t]` for `text: Some(t)`
+    /// (an assert without a message).
+    Assert {
+        text: Option<u32>,
+    },
     /// Acquire lock `i`, named `lock_names[i]` (blocks; scheduler-visible).
     EnterLock(u16),
     /// Release lock `i`.
@@ -94,53 +116,15 @@ pub enum Instr {
     /// Pop an array; run thunk `t` once per element across worker threads,
     /// passing the element as the thunk's slot-0 parameter; join.
     ParallelFor(u16),
-    /// Install an error handler at instruction index `0` (patched). On a
-    /// raise, the thread unwinds to this frame/stack height, pushes the
-    /// error message string, and jumps to the handler.
+    /// Install an error handler at instruction index `h`. On a raise, the
+    /// thread unwinds to this frame/stack height, pushes the error message
+    /// string, and jumps to the handler.
     TryPush(u32),
     /// Remove the most recent handler (normal exit from a `try:` body).
     TryPop,
 }
 
-/// An instruction in the simulator's decoded form: one of the private
-/// instructions, which touch only the thread's own frame locals and operand
-/// stack (`VmThread::step_quantum` runs them ahead of the clock), a fused
-/// run of them, or `Shared` for everything else.
-///
-/// A fused op stands at the index of its first part; the parts keep their
-/// own ops at the following indices, so a jump into the middle of a run
-/// still works. It counts and is charged as its parts.
-#[derive(Debug, Clone, Copy)]
-pub enum Op {
-    /// Not private: only `VmThread::step` runs it.
-    Shared,
-    /// A non-string `Const`, resolved.
-    PushNone,
-    PushInt(i64),
-    PushReal(f64),
-    PushBool(bool),
-    LoadLocal(u16),
-    StoreLocal(u16),
-    Jump(u32),
-    JumpIfFalse(u32),
-    JumpIfFalsePeek(u32),
-    JumpIfTruePeek(u32),
-    Pop,
-    Dup2,
-    /// `Bin` on the two values on top of the stack, then its `Then`.
-    Bin(BinOp, Then),
-    Neg,
-    Not,
-    Widen,
-    /// `LoadLocal a; LoadLocal b; Bin`, then its `Then`.
-    LoadLoadBin(u16, u16, BinOp, Then),
-    /// `LoadLocal a; Const c; Bin` for an int `c` that fits 32 bits.
-    LoadIntBin(u16, i32, BinOp, Then),
-    /// `LoadLocal b; Bin`, the left operand on the stack.
-    LoadBin(u16, BinOp, Then),
-    /// `Const c; Bin`, the left operand on the stack.
-    IntBin(i32, BinOp, Then),
-}
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 /// What a `Bin` op does with its result: push it (the plain `Bin`), or
 /// fuse the instruction after the `Bin` that consumes it.
@@ -152,43 +136,55 @@ pub enum Then {
 }
 
 impl Op {
-    /// The plain op of `instr`.
-    pub(crate) fn plain(instr: &Instr, consts: &[Const]) -> Op {
-        match *instr {
-            Instr::Const(i) => match consts[i as usize] {
-                Const::None => Op::PushNone,
-                Const::Int(v) => Op::PushInt(v),
-                Const::Real(v) => Op::PushReal(v),
-                Const::Bool(v) => Op::PushBool(v),
-                Const::Str(_) => Op::Shared, // allocates
-            },
-            Instr::LoadLocal(i) => Op::LoadLocal(i),
-            Instr::StoreLocal(i) => Op::StoreLocal(i),
-            Instr::Jump(t) => Op::Jump(t),
-            Instr::JumpIfFalse(t) => Op::JumpIfFalse(t),
-            Instr::JumpIfFalsePeek(t) => Op::JumpIfFalsePeek(t),
-            Instr::JumpIfTruePeek(t) => Op::JumpIfTruePeek(t),
-            Instr::Pop => Op::Pop,
-            Instr::Dup2 => Op::Dup2,
-            Instr::Bin(op) => Op::Bin(op, Then::Push),
-            Instr::Neg => Op::Neg,
-            Instr::Not => Op::Not,
-            Instr::Widen => Op::Widen,
-            _ => Op::Shared,
+    /// Whether only `VmThread::step` runs this op.
+    #[inline(always)]
+    pub fn is_shared(self) -> bool {
+        !matches!(
+            self,
+            Op::PushNone
+                | Op::PushInt(_)
+                | Op::PushReal(_)
+                | Op::PushBool(_)
+                | Op::LoadLocal(_)
+                | Op::StoreLocal(_)
+                | Op::Jump(_)
+                | Op::JumpIfFalse(_)
+                | Op::JumpIfFalsePeek(_)
+                | Op::JumpIfTruePeek(_)
+                | Op::Pop
+                | Op::Dup2
+                | Op::Bin(..)
+                | Op::Neg
+                | Op::Not
+                | Op::Widen
+                | Op::LoadLoadBin(..)
+                | Op::LoadIntBin(..)
+                | Op::LoadBin(..)
+                | Op::IntBin(..)
+        )
+    }
+
+    /// The plain instruction at this op's index: a fused op's first part,
+    /// else the op itself.
+    #[inline]
+    pub fn first_part(self) -> Op {
+        match self {
+            Op::LoadLoadBin(a, ..) | Op::LoadIntBin(a, ..) | Op::LoadBin(a, ..) => Op::LoadLocal(a),
+            Op::IntBin(c, ..) => Op::PushInt(c.into()),
+            Op::Bin(op, _) => Op::Bin(op, Then::Push),
+            op => op,
         }
     }
 }
 
-/// Decode a unit: at each index, the longest fused op that starts there,
-/// else the plain op.
-pub(crate) fn decode(code: &[Instr], consts: &[Const]) -> Vec<Op> {
-    let mut ops: Vec<Op> = code.iter().map(|instr| Op::plain(instr, consts)).collect();
+/// Fuse a unit's plain ops in place: at each index, the longest fused op
+/// that starts there, else the plain op.
+pub(crate) fn fuse_in_place(ops: &mut [Op]) {
     // Going up, the ops after index `i` are still plain.
     for i in 0..ops.len() {
-        let at = |j: usize| ops.get(i + j).copied().unwrap_or(Op::Shared);
+        let at = |j: usize| ops.get(i + j).copied().unwrap_or(Op::Return);
         ops[i] = fuse([at(0), at(1), at(2), at(3)]);
     }
-    ops
 }
 
 /// The longest fused op over the plain ops `p` of a run, else `p[0]`.
@@ -235,12 +231,10 @@ pub struct CodeUnit {
     pub params: u16,
     /// Total local slots, including parameters.
     pub nlocals: u16,
-    pub code: Vec<Instr>,
-    /// Source line of each instruction (same length as `code`).
-    pub lines: Vec<u32>,
-    /// `code` decoded for the simulator (same length), filled by
-    /// [`CompiledProgram::new`].
+    /// The unit's instructions, fused by [`CompiledProgram::new`].
     pub ops: Vec<Op>,
+    /// Source line of each instruction (same length as `ops`).
+    pub lines: Vec<u32>,
 }
 
 impl CodeUnit {
@@ -256,9 +250,11 @@ pub struct CompiledProgram {
     pub units: Vec<CodeUnit>,
     /// How many of `units` are program functions.
     pub num_funcs: usize,
-    pub consts: Vec<Const>,
+    /// String literals and assert texts, by the index [`Op::PushStr`] and
+    /// [`Op::Assert`] carry.
+    pub strings: Vec<String>,
     /// The thunks of each `parallel:` / `background:` block, by the index
-    /// its instruction carries (so an [`Instr`] stays 8 bytes).
+    /// its instruction carries.
     pub spawns: Vec<Vec<u16>>,
     /// Every distinct lock name, by lock index (the resolver's numbering).
     pub lock_names: Vec<Symbol>,
@@ -267,19 +263,19 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Assemble a program and decode each unit's code.
+    /// Assemble a program and fuse each unit's ops.
     pub fn new(
         mut units: Vec<CodeUnit>,
         num_funcs: usize,
-        consts: Vec<Const>,
+        strings: Vec<String>,
         spawns: Vec<Vec<u16>>,
         lock_names: Vec<Symbol>,
         main: u16,
     ) -> Self {
         for unit in &mut units {
-            unit.ops = decode(&unit.code, &consts);
+            fuse_in_place(&mut unit.ops);
         }
-        CompiledProgram { units, num_funcs, consts, spawns, lock_names, main }
+        CompiledProgram { units, num_funcs, strings, spawns, lock_names, main }
     }
 
     pub fn unit(&self, idx: u16) -> &CodeUnit {
@@ -293,7 +289,7 @@ impl CompiledProgram {
 
     /// Total instruction count (reported by `tetra compile`).
     pub fn instruction_count(&self) -> usize {
-        self.units.iter().map(|u| u.code.len()).sum()
+        self.units.iter().map(|u| u.ops.len()).sum()
     }
 }
 
@@ -308,9 +304,8 @@ mod tests {
             kind: UnitKind::Function,
             params: 0,
             nlocals: 0,
-            code: vec![Instr::Const(0), Instr::Return],
+            ops: vec![Op::PushNone, Op::Return],
             lines: vec![3, 3],
-            ops: Vec::new(),
         };
         assert_eq!(unit.line_at(0), 3);
         assert_eq!(unit.line_at(99), 0);

@@ -13,28 +13,19 @@
 //! so `a = ...` inside a parallel block is visible to the parent after the
 //! join (Fig. II). A coordinate's `up` therefore counts frames only, and
 //! the compiler adds the child units in between to get the unit depth of
-//! [`Instr::LoadOuter`] / [`Instr::StoreOuter`]. Each unit's slots past its
+//! [`Op::LoadOuter`] / [`Op::StoreOuter`]. Each unit's slots past its
 //! frame layout hold the hidden `seq` / `i` of its sequential `for` loops;
 //! `seq` holds a copy of an array taken at loop entry.
 
 use crate::bytecode::*;
-use std::collections::HashMap;
 use tetra_ast::pretty::expr_to_source;
-use tetra_ast::{
-    AssignOp, BinOp, Block, Expr, ExprKind, NodeId, Stmt, StmtKind, Target, Type, UnOp,
-};
+use tetra_ast::{AssignOp, BinOp, Block, Expr, ExprKind, NodeId, Stmt, StmtKind, Target, UnOp};
 use tetra_stdlib::Builtin;
 use tetra_types::{Callee, TypedProgram};
 
 /// Compile a checked program to bytecode.
 pub fn compile(typed: &TypedProgram) -> CompiledProgram {
-    let mut c = Compiler {
-        typed,
-        units: Vec::new(),
-        consts: Vec::new(),
-        const_map: HashMap::new(),
-        spawns: Vec::new(),
-    };
+    let mut c = Compiler { typed, units: Vec::new(), strings: Vec::new(), spawns: Vec::new() };
     let num_funcs = typed.program.funcs.len();
     // Reserve function unit slots so thunk indices follow them.
     for f in &typed.program.funcs {
@@ -43,9 +34,8 @@ pub fn compile(typed: &TypedProgram) -> CompiledProgram {
             kind: UnitKind::Function,
             params: f.params.len() as u16,
             nlocals: 0,
-            code: Vec::new(),
-            lines: Vec::new(),
             ops: Vec::new(),
+            lines: Vec::new(),
         });
     }
     for (idx, f) in typed.program.funcs.iter().enumerate() {
@@ -53,58 +43,36 @@ pub fn compile(typed: &TypedProgram) -> CompiledProgram {
         fc.set_line(f.span.line);
         fc.block(&f.body);
         // Implicit `return none` for paths that fall off the end.
-        let none = fc.comp.intern(Const::None);
-        fc.emit(Instr::Const(none));
-        fc.emit(Instr::Return);
-        let (code, lines, nlocals) = fc.finish_function();
+        fc.emit(Op::PushNone);
+        fc.emit(Op::Return);
+        let (ops, lines, nlocals) = fc.finish_function();
         let unit = &mut c.units[idx];
-        unit.code = code;
+        unit.ops = ops;
         unit.lines = lines;
         unit.nlocals = nlocals;
     }
     let main = typed.program.func_index("main").unwrap_or(0) as u16;
     let lock_names = typed.resolution.lock_names().to_vec();
-    CompiledProgram::new(c.units, num_funcs, c.consts, c.spawns, lock_names, main)
-}
-
-#[derive(PartialEq, Eq, Hash)]
-enum ConstKey {
-    None,
-    Int(i64),
-    RealBits(u64),
-    Bool(bool),
-    Str(String),
+    CompiledProgram::new(c.units, num_funcs, c.strings, c.spawns, lock_names, main)
 }
 
 struct Compiler<'t> {
     typed: &'t TypedProgram,
     units: Vec<CodeUnit>,
-    consts: Vec<Const>,
-    const_map: HashMap<ConstKey, u16>,
+    strings: Vec<String>,
     spawns: Vec<Vec<u16>>,
 }
 
 impl Compiler<'_> {
-    fn intern(&mut self, c: Const) -> u16 {
-        let key = match &c {
-            Const::None => ConstKey::None,
-            Const::Int(v) => ConstKey::Int(*v),
-            Const::Real(v) => ConstKey::RealBits(v.to_bits()),
-            Const::Bool(v) => ConstKey::Bool(*v),
-            Const::Str(s) => ConstKey::Str(s.clone()),
-        };
-        if let Some(&i) = self.const_map.get(&key) {
-            return i;
-        }
-        let i = self.consts.len() as u16;
-        self.consts.push(c);
-        self.const_map.insert(key, i);
-        i
+    /// Add `s` to the string table; returns its index.
+    fn string(&mut self, s: String) -> u32 {
+        self.strings.push(s);
+        (self.strings.len() - 1) as u32
     }
 }
 
 struct PartialUnit {
-    code: Vec<Instr>,
+    ops: Vec<Op>,
     lines: Vec<u32>,
     /// (break patch sites, continue patch sites, open trys at loop entry)
     /// per open loop.
@@ -133,7 +101,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
         FnCompiler {
             comp,
             parts: vec![PartialUnit {
-                code: Vec::new(),
+                ops: Vec::new(),
                 lines: Vec::new(),
                 loops: Vec::new(),
                 open_trys: 0,
@@ -146,10 +114,10 @@ impl<'c, 't> FnCompiler<'c, 't> {
         }
     }
 
-    fn finish_function(mut self) -> (Vec<Instr>, Vec<u32>, u16) {
+    fn finish_function(mut self) -> (Vec<Op>, Vec<u32>, u16) {
         debug_assert_eq!(self.parts.len(), 1);
         let part = self.parts.pop().unwrap();
-        (part.code, part.lines, part.nlocals)
+        (part.ops, part.lines, part.nlocals)
     }
 
     // ---- emission helpers ---------------------------------------------------
@@ -158,25 +126,24 @@ impl<'c, 't> FnCompiler<'c, 't> {
         self.cur_line = line;
     }
 
-    fn emit(&mut self, i: Instr) -> usize {
+    fn emit(&mut self, op: Op) -> usize {
         let part = self.parts.last_mut().unwrap();
-        part.code.push(i);
+        part.ops.push(op);
         part.lines.push(self.cur_line);
-        part.code.len() - 1
+        part.ops.len() - 1
     }
 
     fn here(&self) -> u32 {
-        self.parts.last().unwrap().code.len() as u32
+        self.parts.last().unwrap().ops.len() as u32
     }
 
     fn patch_jump(&mut self, at: usize) {
         let target = self.here();
         let part = self.parts.last_mut().unwrap();
-        match &mut part.code[at] {
-            Instr::Jump(t)
-            | Instr::JumpIfFalse(t)
-            | Instr::JumpIfFalsePeek(t)
-            | Instr::JumpIfTruePeek(t) => *t = target,
+        match &mut part.ops[at] {
+            Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfFalsePeek(t) | Op::JumpIfTruePeek(t) => {
+                *t = target
+            }
             other => unreachable!("patching non-jump {other:?}"),
         }
     }
@@ -211,17 +178,17 @@ impl<'c, 't> FnCompiler<'c, 't> {
 
     fn load(&mut self, depth: u8, slot: u16) {
         if depth == 0 {
-            self.emit(Instr::LoadLocal(slot));
+            self.emit(Op::LoadLocal(slot));
         } else {
-            self.emit(Instr::LoadOuter(depth, slot));
+            self.emit(Op::LoadOuter(depth, slot));
         }
     }
 
     fn store(&mut self, depth: u8, slot: u16) {
         if depth == 0 {
-            self.emit(Instr::StoreLocal(slot));
+            self.emit(Op::StoreLocal(slot));
         } else {
-            self.emit(Instr::StoreOuter(depth, slot));
+            self.emit(Op::StoreOuter(depth, slot));
         }
     }
 
@@ -238,7 +205,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
         body: impl FnOnce(&mut Self),
     ) -> u16 {
         self.parts.push(PartialUnit {
-            code: Vec::new(),
+            ops: Vec::new(),
             lines: Vec::new(),
             loops: Vec::new(),
             open_trys: 0,
@@ -248,9 +215,8 @@ impl<'c, 't> FnCompiler<'c, 't> {
             nlocals,
         });
         body(self);
-        let none = self.comp.intern(Const::None);
-        self.emit(Instr::Const(none));
-        self.emit(Instr::Return);
+        self.emit(Op::PushNone);
+        self.emit(Op::Return);
         let part = self.parts.pop().unwrap();
         let idx = self.comp.units.len() as u16;
         self.comp.units.push(CodeUnit {
@@ -258,9 +224,8 @@ impl<'c, 't> FnCompiler<'c, 't> {
             kind: part.kind,
             params: part.params,
             nlocals: part.nlocals,
-            code: part.code,
+            ops: part.ops,
             lines: part.lines,
-            ops: Vec::new(),
         });
         idx
     }
@@ -279,18 +244,17 @@ impl<'c, 't> FnCompiler<'c, 't> {
             StmtKind::Pass => {}
             StmtKind::Expr(e) => {
                 self.expr(e);
-                self.emit(Instr::Pop);
+                self.emit(Op::Pop);
             }
             StmtKind::Assign { target, op, value } => self.assign(target, *op, value),
             StmtKind::Return(v) => {
                 match v {
                     Some(e) => self.expr(e),
                     None => {
-                        let none = self.comp.intern(Const::None);
-                        self.emit(Instr::Const(none));
+                        self.emit(Op::PushNone);
                     }
                 }
-                self.emit(Instr::Return);
+                self.emit(Op::Return);
             }
             StmtKind::Assert { cond, message } => {
                 self.expr(cond);
@@ -302,24 +266,24 @@ impl<'c, 't> FnCompiler<'c, 't> {
                     // The interpreter's text for an assert without a message.
                     None => {
                         let text = format!("assert failed: {}", expr_to_source(cond));
-                        Some(self.comp.intern(Const::Str(text)))
+                        Some(self.comp.string(text))
                     }
                 };
-                self.emit(Instr::Assert { text });
+                self.emit(Op::Assert { text });
             }
             StmtKind::If { cond, then, elifs, els } => {
                 // Chain of conditional jumps; all arms jump to the end.
                 let mut end_jumps = Vec::new();
                 self.expr(cond);
-                let mut next = self.emit(Instr::JumpIfFalse(0));
+                let mut next = self.emit(Op::JumpIfFalse(0));
                 self.block(then);
-                end_jumps.push(self.emit(Instr::Jump(0)));
+                end_jumps.push(self.emit(Op::Jump(0)));
                 for (c, b) in elifs {
                     self.patch_jump(next);
                     self.expr(c);
-                    next = self.emit(Instr::JumpIfFalse(0));
+                    next = self.emit(Op::JumpIfFalse(0));
                     self.block(b);
-                    end_jumps.push(self.emit(Instr::Jump(0)));
+                    end_jumps.push(self.emit(Op::Jump(0)));
                 }
                 self.patch_jump(next);
                 if let Some(b) = els {
@@ -332,7 +296,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
             StmtKind::While { cond, body } => {
                 let top = self.here();
                 self.expr(cond);
-                let exit = self.emit(Instr::JumpIfFalse(0));
+                let exit = self.emit(Op::JumpIfFalse(0));
                 {
                     let part = self.parts.last_mut().unwrap();
                     let trys = part.open_trys;
@@ -343,11 +307,11 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 for c in continues {
                     // `continue` in a while loop re-tests the condition.
                     let part = self.parts.last_mut().unwrap();
-                    if let Instr::Jump(t) = &mut part.code[c] {
+                    if let Op::Jump(t) = &mut part.ops[c] {
                         *t = top;
                     }
                 }
-                self.emit(Instr::Jump(top));
+                self.emit(Op::Jump(top));
                 self.patch_jump(exit);
                 for b in breaks {
                     self.patch_jump(b);
@@ -357,29 +321,26 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 // seq → hidden slot; i → hidden slot; loop with Index. The
                 // loop iterates its entry snapshot, as on the interpreter:
                 // an array is copied unless it is a literal, which no other
-                // name can reach. Strings are immutable.
+                // name can reach (`TypedProgram::copies_items`).
                 self.expr(iter);
-                if matches!(self.comp.typed.type_of(iter.id), Type::Array(_))
-                    && !matches!(iter.kind, ExprKind::Array(_) | ExprKind::Range { .. })
-                {
-                    self.emit(Instr::CallBuiltin(Builtin::Copy, 1));
+                if self.comp.typed.copies_items(iter.id) {
+                    self.emit(Op::CallBuiltin(Builtin::Copy, 1));
                 }
                 let seq = self.define_hidden();
-                self.emit(Instr::StoreLocal(seq));
-                let zero = self.comp.intern(Const::Int(0));
-                self.emit(Instr::Const(zero));
+                self.emit(Op::StoreLocal(seq));
+                self.emit(Op::PushInt(0));
                 let i = self.define_hidden();
-                self.emit(Instr::StoreLocal(i));
+                self.emit(Op::StoreLocal(i));
                 let (vd, vs) = self.place(*var_id);
                 let top = self.here();
-                self.emit(Instr::LoadLocal(i));
-                self.emit(Instr::LoadLocal(seq));
-                self.emit(Instr::CallBuiltin(Builtin::Len, 1));
-                self.emit(Instr::Bin(BinOp::Lt));
-                let exit = self.emit(Instr::JumpIfFalse(0));
-                self.emit(Instr::LoadLocal(seq));
-                self.emit(Instr::LoadLocal(i));
-                self.emit(Instr::Index);
+                self.emit(Op::LoadLocal(i));
+                self.emit(Op::LoadLocal(seq));
+                self.emit(Op::CallBuiltin(Builtin::Len, 1));
+                self.emit(Op::Bin(BinOp::Lt, Then::Push));
+                let exit = self.emit(Op::JumpIfFalse(0));
+                self.emit(Op::LoadLocal(seq));
+                self.emit(Op::LoadLocal(i));
+                self.emit(Op::Index);
                 self.store(vd, vs);
                 {
                     let part = self.parts.last_mut().unwrap();
@@ -391,16 +352,15 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 let incr = self.here();
                 for c in continues {
                     let part = self.parts.last_mut().unwrap();
-                    if let Instr::Jump(t) = &mut part.code[c] {
+                    if let Op::Jump(t) = &mut part.ops[c] {
                         *t = incr;
                     }
                 }
-                self.emit(Instr::LoadLocal(i));
-                let one = self.comp.intern(Const::Int(1));
-                self.emit(Instr::Const(one));
-                self.emit(Instr::Bin(BinOp::Add));
-                self.emit(Instr::StoreLocal(i));
-                self.emit(Instr::Jump(top));
+                self.emit(Op::LoadLocal(i));
+                self.emit(Op::PushInt(1));
+                self.emit(Op::Bin(BinOp::Add, Then::Push));
+                self.emit(Op::StoreLocal(i));
+                self.emit(Op::Jump(top));
                 self.patch_jump(exit);
                 for b in breaks {
                     self.patch_jump(b);
@@ -408,7 +368,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
             }
             StmtKind::Break => {
                 self.pop_trys_to_loop_entry();
-                let at = self.emit(Instr::Jump(0));
+                let at = self.emit(Op::Jump(0));
                 let part = self.parts.last_mut().unwrap();
                 if let Some((breaks, _, _)) = part.loops.last_mut() {
                     breaks.push(at);
@@ -416,7 +376,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
             }
             StmtKind::Continue => {
                 self.pop_trys_to_loop_entry();
-                let at = self.emit(Instr::Jump(0));
+                let at = self.emit(Op::Jump(0));
                 let part = self.parts.last_mut().unwrap();
                 if let Some((_, continues, _)) = part.loops.last_mut() {
                     continues.push(at);
@@ -430,35 +390,35 @@ impl<'c, 't> FnCompiler<'c, 't> {
                     .lock_index(s.id)
                     .expect("the resolver indexes every lock statement")
                     as u16;
-                self.emit(Instr::EnterLock(lock));
+                self.emit(Op::EnterLock(lock));
                 self.block(body);
                 self.set_line(s.span.line);
-                self.emit(Instr::ExitLock(lock));
+                self.emit(Op::ExitLock(lock));
             }
             StmtKind::Parallel { body } => {
                 let thunks = self.child_thunks(body);
                 self.set_line(s.span.line);
-                self.emit(Instr::Parallel(thunks));
+                self.emit(Op::Parallel(thunks));
             }
             StmtKind::Background { body } => {
                 let thunks = self.child_thunks(body);
                 self.set_line(s.span.line);
-                self.emit(Instr::Background(thunks));
+                self.emit(Op::Background(thunks));
             }
             StmtKind::Try { body, err_id, handler, .. } => {
-                let push_at = self.emit(Instr::TryPush(0));
+                let push_at = self.emit(Op::TryPush(0));
                 self.parts.last_mut().unwrap().open_trys += 1;
                 self.block(body);
                 self.parts.last_mut().unwrap().open_trys -= 1;
                 self.set_line(s.span.line);
-                self.emit(Instr::TryPop);
-                let skip = self.emit(Instr::Jump(0));
+                self.emit(Op::TryPop);
+                let skip = self.emit(Op::Jump(0));
                 // Handler entry: the raise mechanism pushes the error
                 // message; bind it to the catch variable first.
                 let handler_ip = self.here();
                 {
                     let part = self.parts.last_mut().unwrap();
-                    if let Instr::TryPush(t) = &mut part.code[push_at] {
+                    if let Op::TryPush(t) = &mut part.ops[push_at] {
                         *t = handler_ip;
                     }
                 }
@@ -475,7 +435,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 let t =
                     self.thunk(UnitKind::ParallelForBody, name, 1, nlocals, |me| me.block(body));
                 self.set_line(s.span.line);
-                self.emit(Instr::ParallelFor(t));
+                self.emit(Op::ParallelFor(t));
             }
         }
     }
@@ -489,7 +449,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
             (part.open_trys, entry)
         };
         for _ in entry..open {
-            self.emit(Instr::TryPop);
+            self.emit(Op::TryPop);
         }
     }
 
@@ -518,7 +478,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
                     let (d, s) = self.place(*id);
                     self.load(d, s);
                     self.expr(value);
-                    self.emit(Instr::Bin(binop));
+                    self.emit(Op::Bin(binop, Then::Push));
                     self.store(d, s);
                 }
             },
@@ -527,16 +487,16 @@ impl<'c, 't> FnCompiler<'c, 't> {
                     self.expr(base);
                     self.expr(index);
                     self.expr(value);
-                    self.emit(Instr::IndexStore);
+                    self.emit(Op::IndexStore);
                 }
                 Some(binop) => {
                     self.expr(base);
                     self.expr(index);
-                    self.emit(Instr::Dup2);
-                    self.emit(Instr::Index);
+                    self.emit(Op::Dup2);
+                    self.emit(Op::Index);
                     self.expr(value);
-                    self.emit(Instr::Bin(binop));
-                    self.emit(Instr::IndexStore);
+                    self.emit(Op::Bin(binop, Then::Push));
+                    self.emit(Op::IndexStore);
                 }
             },
         }
@@ -550,31 +510,27 @@ impl<'c, 't> FnCompiler<'c, 't> {
     fn expr(&mut self, e: &'t Expr) {
         self.expr_value(e);
         if self.comp.typed.widens(e.id) {
-            self.emit(Instr::Widen);
+            self.emit(Op::Widen);
         }
     }
 
     fn expr_value(&mut self, e: &'t Expr) {
         match &e.kind {
             ExprKind::Int(v) => {
-                let c = self.comp.intern(Const::Int(*v));
-                self.emit(Instr::Const(c));
+                self.emit(Op::PushInt(*v));
             }
             ExprKind::Real(v) => {
-                let c = self.comp.intern(Const::Real(*v));
-                self.emit(Instr::Const(c));
+                self.emit(Op::PushReal(*v));
             }
             ExprKind::Bool(v) => {
-                let c = self.comp.intern(Const::Bool(*v));
-                self.emit(Instr::Const(c));
+                self.emit(Op::PushBool(*v));
             }
             ExprKind::None => {
-                let c = self.comp.intern(Const::None);
-                self.emit(Instr::Const(c));
+                self.emit(Op::PushNone);
             }
             ExprKind::Str(s) => {
-                let c = self.comp.intern(Const::Str(s.clone()));
-                self.emit(Instr::Const(c));
+                let i = self.comp.string(s.clone());
+                self.emit(Op::PushStr(i));
             }
             ExprKind::Var(_) => {
                 let (d, s) = self.place(e.id);
@@ -583,29 +539,29 @@ impl<'c, 't> FnCompiler<'c, 't> {
             ExprKind::Unary { op, operand } => {
                 self.expr(operand);
                 match op {
-                    UnOp::Neg => self.emit(Instr::Neg),
-                    UnOp::Not => self.emit(Instr::Not),
+                    UnOp::Neg => self.emit(Op::Neg),
+                    UnOp::Not => self.emit(Op::Not),
                 };
             }
             ExprKind::Binary { op, lhs, rhs } => match op {
                 BinOp::And => {
                     self.expr(lhs);
-                    let j = self.emit(Instr::JumpIfFalsePeek(0));
-                    self.emit(Instr::Pop);
+                    let j = self.emit(Op::JumpIfFalsePeek(0));
+                    self.emit(Op::Pop);
                     self.expr(rhs);
                     self.patch_jump(j);
                 }
                 BinOp::Or => {
                     self.expr(lhs);
-                    let j = self.emit(Instr::JumpIfTruePeek(0));
-                    self.emit(Instr::Pop);
+                    let j = self.emit(Op::JumpIfTruePeek(0));
+                    self.emit(Op::Pop);
                     self.expr(rhs);
                     self.patch_jump(j);
                 }
                 _ => {
                     self.expr(lhs);
                     self.expr(rhs);
-                    self.emit(Instr::Bin(*op));
+                    self.emit(Op::Bin(*op, Then::Push));
                 }
             },
             ExprKind::Call { callee, args } => {
@@ -618,38 +574,38 @@ impl<'c, 't> FnCompiler<'c, 't> {
                     self.expr(arg);
                 }
                 match resolved {
-                    Callee::User(idx) => self.emit(Instr::Call(idx as u16, args.len() as u8)),
-                    Callee::Builtin(b) => self.emit(Instr::CallBuiltin(b, args.len() as u8)),
+                    Callee::User(idx) => self.emit(Op::Call(idx as u16, args.len() as u8)),
+                    Callee::Builtin(b) => self.emit(Op::CallBuiltin(b, args.len() as u8)),
                 };
             }
             ExprKind::Index { base, index } => {
                 self.expr(base);
                 self.expr(index);
-                self.emit(Instr::Index);
+                self.emit(Op::Index);
             }
             ExprKind::Array(items) => {
                 for item in items {
                     self.expr(item);
                 }
-                self.emit(Instr::MakeArray(items.len() as u16));
+                self.emit(Op::MakeArray(items.len() as u32));
             }
             ExprKind::Range { lo, hi } => {
                 self.expr(lo);
                 self.expr(hi);
-                self.emit(Instr::MakeRange);
+                self.emit(Op::MakeRange);
             }
             ExprKind::Tuple(items) => {
                 for item in items {
                     self.expr(item);
                 }
-                self.emit(Instr::MakeTuple(items.len() as u16));
+                self.emit(Op::MakeTuple(items.len() as u32));
             }
             ExprKind::Dict(pairs) => {
                 for (k, v) in pairs {
                     self.expr(k);
                     self.expr(v);
                 }
-                self.emit(Instr::MakeDict(pairs.len() as u16));
+                self.emit(Op::MakeDict(pairs.len() as u32));
             }
         }
     }

@@ -6,7 +6,10 @@
 //! any host (DESIGN.md §2, substitution 3).
 //!
 //! * [`compile()`] lowers a checked program to stack bytecode with
-//!   slot-resolved variables and thunks for the parallel constructs;
+//!   slot-resolved variables and thunks for the parallel constructs. The
+//!   bytecode has one instruction form, [`Op`]: the compiler emits plain
+//!   ops with numbers inline, and [`CompiledProgram::new`] fuses runs of
+//!   thread-private ones in place for the simulator's quantum;
 //! * [`run`] executes it under a deterministic scheduler: VM threads are
 //!   interleaved one instruction at a time in virtual-time order, so runs
 //!   are exactly reproducible and `parallel` speedup can be *measured in
@@ -33,7 +36,7 @@ pub mod disasm;
 pub mod sched;
 pub mod vm;
 
-pub use bytecode::{CompiledProgram, Instr};
+pub use bytecode::{CompiledProgram, Op};
 pub use compile::compile;
 pub use disasm::disassemble;
 pub use sched::{run, CostModel, SimStats, VmConfig};

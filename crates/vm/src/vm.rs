@@ -14,7 +14,7 @@
 //! ("already mutably borrowed"). A shared one, such as a builtin's argument
 //! slice, keeps its values rooted.
 
-use crate::bytecode::{CompiledProgram, Const, Instr, Op, Then};
+use crate::bytecode::{CompiledProgram, Op, Then};
 use std::{cell::Cell, cell::RefCell, rc::Rc, rc::Weak, sync::Arc};
 use tetra_runtime::{
     ConsoleRef, ErrorKind, Heap, MutatorGuard, Object, RootSink, RootSource, RuntimeError,
@@ -341,7 +341,7 @@ impl VmThread {
         match self.frames.last() {
             Some(f) => program
                 .unit(f.unit)
-                .line_at(f.ip.min(program.unit(f.unit).code.len().saturating_sub(1))),
+                .line_at(f.ip.min(program.unit(f.unit).ops.len().saturating_sub(1))),
             None => 0,
         }
     }
@@ -399,10 +399,10 @@ impl VmThread {
 
     /// Execute a run of *private* instructions under one mutable borrow of
     /// the frame's locals and one of the operand stack, instead of
-    /// borrowing both for every instruction. The run goes over the unit's
-    /// decoded ops ([`Op`]): a fused op runs whole when the quantum has room
-    /// for all its parts and none of them declines; otherwise its first
-    /// part runs alone as the plain op, and the run goes on.
+    /// borrowing both for every instruction. A fused op runs whole when the
+    /// quantum has room for all its parts and none of them declines;
+    /// otherwise its first part runs alone as the plain op, and the run
+    /// goes on.
     ///
     /// Returns how many instructions ran (possibly 0); every one of them is
     /// `CostClass::Basic`. The scheduler uses it for the sole runnable
@@ -425,7 +425,7 @@ impl VmThread {
         let unit = program.unit(frame.unit);
         // Most calls that find nothing to do stop at the first op: decide
         // that before borrowing either table.
-        if matches!(unit.ops[frame.ip], Op::Shared) {
+        if unit.ops[frame.ip].is_shared() {
             return 0;
         }
         let octx =
@@ -439,10 +439,7 @@ impl VmThread {
             // A fused op that cannot run whole runs its first part alone (a
             // plain op declines again).
             let Some((next, k)) = run_op(op, ip, first, room, &octx, &mut locals, &mut stack)
-                .or_else(|| {
-                    let plain = Op::plain(&unit.code[ip], &program.consts);
-                    run_op(plain, ip, first, 1, &octx, &mut locals, &mut stack)
-                })
+                .or_else(|| run_op(op.first_part(), ip, first, 1, &octx, &mut locals, &mut stack))
             else {
                 break;
             };
@@ -465,12 +462,11 @@ impl VmThread {
         let program = world.program;
         let frame = self.frames.last_mut().expect("step on a finished thread");
         let unit = program.unit(frame.unit);
-        let instr = &unit.code[frame.ip];
+        let op = unit.ops[frame.ip].first_part();
         self.instructions += 1;
         let mut octx =
             ops::OpCtx { heap: world.heap, mutator: world.mutator, roots: world.registry, line: 0 };
-        let op = Op::plain(instr, &program.consts);
-        if !matches!(op, Op::Shared) {
+        if !op.is_shared() {
             let mut locals = frame.locals.borrow_mut();
             if let Some((next, _)) =
                 run_op(op, frame.ip, true, 1, &octx, &mut locals, &mut self.stack.borrow_mut())
@@ -494,40 +490,40 @@ impl VmThread {
         let mut advance = true;
         let mut outcome = Outcome::Normal;
 
-        match *instr {
-            Instr::Const(i) => {
-                let Const::Str(s) = &program.consts[i as usize] else {
-                    unreachable!("a scalar constant is private")
-                };
-                let v = world.heap.alloc_str(world.mutator, world.registry, s.clone());
+        match op {
+            Op::PushNone | Op::PushInt(_) | Op::PushReal(_) | Op::PushBool(_) | Op::Jump(_) => {
+                unreachable!("{op:?} runs in run_op")
+            }
+            Op::LoadLoadBin(..) | Op::LoadIntBin(..) | Op::LoadBin(..) | Op::IntBin(..) => {
+                unreachable!("step runs a fused op's first part")
+            }
+            Op::PushStr(i) => {
+                let s = program.strings[i as usize].clone();
+                let v = world.heap.alloc_str(world.mutator, world.registry, s);
                 self.push(v);
                 cost = CostClass::Alloc;
             }
-            Instr::LoadLocal(_) => {
+            Op::LoadLocal(_) => {
                 return Err(self.err(
                     program,
                     ErrorKind::UndefinedVariable,
                     "a variable was read before any assignment",
                 ));
             }
-            Instr::StoreLocal(_) | Instr::Pop | Instr::Dup2 | Instr::Widen => {
+            Op::StoreLocal(_) | Op::Pop | Op::Dup2 | Op::Widen => {
                 return Err(self.underflow(program));
             }
-            Instr::Jump(_) => unreachable!("a jump is private"),
-            Instr::JumpIfFalse(_) | Instr::JumpIfFalsePeek(_) | Instr::JumpIfTruePeek(_) => {
+            Op::JumpIfFalse(_) | Op::JumpIfFalsePeek(_) | Op::JumpIfTruePeek(_) => {
                 let v = self.peek(program)?;
                 return Err(self.truthy(program, v).expect_err("a bool condition is private"));
             }
-            Instr::Neg | Instr::Not => {
+            Op::Neg | Op::Not => {
                 let v = self.peek(program)?;
-                let r = if matches!(instr, Instr::Neg) {
-                    ops::negate(&octx, v)
-                } else {
-                    ops::not(&octx, v)
-                };
+                let r =
+                    if matches!(op, Op::Neg) { ops::negate(&octx, v) } else { ops::not(&octx, v) };
                 return Err(r.expect_err("a scalar result is private"));
             }
-            Instr::Bin(op) => {
+            Op::Bin(op, _) => {
                 // Object operands (string or array `+`) or an operator error.
                 let [l, r] = self.top();
                 let r = ops::binary(&octx, op, l, r)?;
@@ -536,7 +532,7 @@ impl VmThread {
                     cost = CostClass::Alloc;
                 }
             }
-            Instr::LoadOuter(d, i) => {
+            Op::LoadOuter(d, i) => {
                 cost = CostClass::SharedAccess;
                 let v = self.frames.last().unwrap().outer(d).borrow()[i as usize];
                 if matches!(v, Value::None) {
@@ -548,12 +544,12 @@ impl VmThread {
                 }
                 self.push(v);
             }
-            Instr::StoreOuter(d, i) => {
+            Op::StoreOuter(d, i) => {
                 cost = CostClass::SharedAccess;
                 let v = self.pop(program)?;
                 self.frames.last().unwrap().outer(d).borrow_mut()[i as usize] = v;
             }
-            Instr::Call(f, argc) => {
+            Op::Call(f, argc) => {
                 let argc = argc as usize;
                 let callee = program.unit(f);
                 let mut locals = vec![Value::None; callee.nlocals as usize];
@@ -590,7 +586,7 @@ impl VmThread {
                     shadow_node,
                 });
             }
-            Instr::CallBuiltin(b, argc) => {
+            Op::CallBuiltin(b, argc) => {
                 let argc = argc as usize;
                 if b == Builtin::Sleep {
                     // Simulated: advance virtual time without real sleeping.
@@ -614,7 +610,7 @@ impl VmThread {
                     cost = CostClass::Builtin;
                 }
             }
-            Instr::Return => {
+            Op::Return => {
                 let value = self.pop(program)?;
                 let frame = self.frames.pop().expect("return without a frame");
                 self.stack.borrow_mut().truncate(frame.stack_base);
@@ -629,14 +625,14 @@ impl VmThread {
                     advance = false; // caller ip was advanced at Call time
                 }
             }
-            Instr::MakeArray(n) => {
+            Op::MakeArray(n) => {
                 let n = n as usize;
                 let items = self.top_n(n);
                 let arr = world.heap.alloc(world.mutator, world.registry, Object::array(items));
                 self.replace_top(n, Value::Obj(arr));
                 cost = CostClass::Alloc;
             }
-            Instr::MakeRange => {
+            Op::MakeRange => {
                 let [a, b] = self.top();
                 let (Some(a), Some(b)) = (a.as_int(), b.as_int()) else {
                     return Err(self.err(program, ErrorKind::Value, "range bounds must be ints"));
@@ -654,14 +650,14 @@ impl VmThread {
                 self.replace_top(2, Value::Obj(arr));
                 cost = CostClass::Alloc;
             }
-            Instr::MakeTuple(n) => {
+            Op::MakeTuple(n) => {
                 let n = n as usize;
                 let items = self.top_n(n);
                 let t = world.heap.alloc(world.mutator, world.registry, Object::Tuple(items));
                 self.replace_top(n, Value::Obj(t));
                 cost = CostClass::Alloc;
             }
-            Instr::MakeDict(n) => {
+            Op::MakeDict(n) => {
                 let n = n as usize;
                 let mut map = std::collections::HashMap::with_capacity(n);
                 let stack = self.stack.borrow();
@@ -680,47 +676,44 @@ impl VmThread {
                 self.replace_top(2 * n, Value::Obj(d));
                 cost = CostClass::Alloc;
             }
-            Instr::Index => {
+            Op::Index => {
                 let [base, index] = self.top();
                 let v = ops::index_read(&octx, base, index)?;
                 self.replace_top(2, v);
                 cost = CostClass::SharedAccess;
             }
-            Instr::IndexStore => {
+            Op::IndexStore => {
                 let [base, index, value] = self.top();
                 ops::index_write(&octx, base, index, value)?;
                 self.drop_n(3);
                 cost = CostClass::SharedAccess;
             }
-            Instr::Assert { text } => {
+            Op::Assert { text } => {
                 let msg = if text.is_none() { Some(self.pop(program)?) } else { None };
                 let cond = self.pop(program)?;
                 if !self.truthy(program, cond)? {
                     let text = match (msg, text) {
                         (Some(m), _) => m.display(),
-                        (None, Some(t)) => match &program.consts[t as usize] {
-                            Const::Str(s) => s.clone(),
-                            other => unreachable!("assert text must be a string, got {other:?}"),
-                        },
+                        (None, Some(t)) => program.strings[t as usize].clone(),
                         (None, None) => unreachable!("a message was popped"),
                     };
                     return Err(self.err(program, ErrorKind::AssertionFailed, text));
                 }
             }
-            Instr::EnterLock(c) => {
+            Op::EnterLock(c) => {
                 outcome = Outcome::WantLock { lock: c, line };
                 advance = false; // scheduler advances on successful acquire
             }
-            Instr::ExitLock(c) => {
+            Op::ExitLock(c) => {
                 outcome = Outcome::Unlocked { lock: c };
             }
-            Instr::Parallel(s) => {
+            Op::Parallel(s) => {
                 outcome = Outcome::Spawn { thunks: &program.spawns[s as usize], join: true };
             }
-            Instr::Background(s) => {
+            Op::Background(s) => {
                 outcome = Outcome::Spawn { thunks: &program.spawns[s as usize], join: false };
             }
-            Instr::TryPush(handler_ip) => {
+            Op::TryPush(handler_ip) => {
                 self.handlers.push(Handler {
                     frame_depth: self.frames.len(),
                     stack_height: self.stack.borrow().len(),
@@ -728,10 +721,10 @@ impl VmThread {
                     locks_mark: self.held_locks.len(),
                 });
             }
-            Instr::TryPop => {
+            Op::TryPop => {
                 self.handlers.pop();
             }
-            Instr::ParallelFor(t) => {
+            Op::ParallelFor(t) => {
                 // Peek (not pop): the sequence stays rooted while a
                 // string's chars are allocated.
                 let seq = self.peek(program)?;
@@ -793,13 +786,14 @@ impl VmThread {
 /// Run the private op `op` at `ip` on a thread's frame locals and operand
 /// stack: the one implementation of each private opcode, for both
 /// [`VmThread::step_quantum`] and [`VmThread::step`]. Returns the next ip
-/// and how many instructions ran, or `None` — with nothing changed — when
-/// the op declines: an unassigned read, a non-bool condition, an operator
-/// error, an object operand of `Bin` (it may allocate), stack underflow,
-/// or, unless `first`, dropping a heap reference (a `StoreLocal` over an
-/// object, a `Pop` of an object). A fused op also declines when it has
-/// more parts than `room`, when any part would decline, or when its `Bin`
-/// is not `int op int`; its parts after the first are never `first`.
+/// and how many instructions ran, or `None` — with nothing changed — for a
+/// shared op, or when the op declines: an unassigned read, a non-bool
+/// condition, an operator error, an object operand of `Bin` (it may
+/// allocate), stack underflow, or, unless `first`, dropping a heap
+/// reference (a `StoreLocal` over an object, a `Pop` of an object). A
+/// fused op also declines when it has more parts than `room`, when any
+/// part would decline, or when its `Bin` is not `int op int`; its parts
+/// after the first are never `first`.
 #[inline(always)]
 fn run_op(
     op: Op,
@@ -812,7 +806,6 @@ fn run_op(
 ) -> Option<(usize, u32)> {
     let jump = |taken: bool, t: u32| Some((if taken { t as usize } else { ip + 1 }, 1));
     match op {
-        Op::Shared => return None,
         Op::PushNone => stack.push(Value::None),
         Op::PushInt(v) => stack.push(Value::Int(v)),
         Op::PushReal(v) => stack.push(Value::Real(v)),
@@ -888,6 +881,8 @@ fn run_op(
             let v = ops::scalar_binary(op, *stack.last()?, Value::Int(c.into()))?;
             return bin_then(v, 1, (ip, 2, room), then, locals, stack);
         }
+        // Only `step` runs a shared op.
+        _ => return None,
     }
     Some((ip + 1, 1))
 }
@@ -950,23 +945,21 @@ mod tests {
         reg.tables.borrow().entries.len()
     }
 
-    /// Run one `step_quantum` over `code` in a frame whose local 0 holds
-    /// an array and local 1 is unassigned, with a second array on the
-    /// operand stack; returns (instructions run, ip).
-    fn quantum(code: Vec<Instr>) -> (u32, usize) {
+    /// Run one `step_quantum` over plain `ops` in a frame whose local 0
+    /// holds an array and local 1 is unassigned, with a second array on
+    /// the operand stack; returns (instructions run, ip).
+    fn quantum(ops: Vec<Op>) -> (u32, usize) {
         use crate::bytecode::{CodeUnit, UnitKind};
-        let lines = vec![1; code.len()];
+        let lines = vec![1; ops.len()];
         let unit = CodeUnit {
             name: "main".into(),
             kind: UnitKind::Function,
             params: 0,
             nlocals: 2,
-            code,
+            ops,
             lines,
-            ops: Vec::new(),
         };
-        let program =
-            CompiledProgram::new(vec![unit], 1, vec![Const::Int(7)], Vec::new(), Vec::new(), 0);
+        let program = CompiledProgram::new(vec![unit], 1, Vec::new(), Vec::new(), Vec::new(), 0);
         let heap = Heap::new(tetra_runtime::HeapConfig::default());
         let mutator = heap.register_mutator();
         let registry = Registry::default();
@@ -987,150 +980,122 @@ mod tests {
         (n, thread.frames[0].ip)
     }
 
+    const SEVEN: Op = Op::PushInt(7);
+    const ADD: Op = Op::Bin(BinOp::Add, Then::Push);
+
     #[test]
     fn quantum_stops_before_overwriting_an_object() {
         // The store into the scalar slot runs; the store over the array
         // would drop a heap reference and is left to `step`.
-        let code = vec![
-            Instr::Const(0),
-            Instr::StoreLocal(1),
-            Instr::Const(0),
-            Instr::StoreLocal(0),
-            Instr::Return,
-        ];
-        assert_eq!(quantum(code), (3, 3));
+        let ops = vec![SEVEN, Op::StoreLocal(1), SEVEN, Op::StoreLocal(0), Op::Return];
+        assert_eq!(quantum(ops), (3, 3));
     }
 
     #[test]
     fn quantum_stops_before_popping_an_object() {
-        let code =
-            vec![Instr::LoadLocal(0), Instr::Const(0), Instr::Pop, Instr::Pop, Instr::Return];
-        assert_eq!(quantum(code), (3, 3));
+        let ops = vec![Op::LoadLocal(0), SEVEN, Op::Pop, Op::Pop, Op::Return];
+        assert_eq!(quantum(ops), (3, 3));
     }
 
     #[test]
     fn quantum_may_drop_a_reference_as_its_first_instruction() {
         // The first instruction runs at its own turn in the schedule.
-        assert_eq!(quantum(vec![Instr::Pop, Instr::Const(0), Instr::Pop, Instr::Return]), (3, 3));
-        let code = vec![Instr::StoreLocal(0), Instr::LoadLocal(0), Instr::Pop, Instr::Return];
-        assert_eq!(quantum(code), (2, 2));
+        assert_eq!(quantum(vec![Op::Pop, SEVEN, Op::Pop, Op::Return]), (3, 3));
+        let ops = vec![Op::StoreLocal(0), Op::LoadLocal(0), Op::Pop, Op::Return];
+        assert_eq!(quantum(ops), (2, 2));
     }
 
     #[test]
     fn quantum_runs_nothing_at_a_shared_instruction() {
-        assert_eq!(quantum(vec![Instr::LoadOuter(1, 0), Instr::Return]), (0, 0));
-        assert_eq!(quantum(vec![Instr::Return]), (0, 0));
+        assert_eq!(quantum(vec![Op::LoadOuter(1, 0), Op::Return]), (0, 0));
+        assert_eq!(quantum(vec![Op::Return]), (0, 0));
     }
 
     #[test]
     fn quantum_stops_before_an_object_store_inside_a_fused_op() {
-        // `Const; Bin; StoreLocal 0` decodes to one fused op whose store
-        // would overwrite the array: its parts run alone up to the store.
-        let code = vec![
-            Instr::Const(0),
-            Instr::Const(0),
-            Instr::Bin(BinOp::Add),
-            Instr::StoreLocal(0),
-            Instr::Return,
-        ];
-        assert!(matches!(decoded(&code)[1], Op::IntBin(7, BinOp::Add, Then::StoreLocal(0))));
-        assert_eq!(quantum(code), (3, 3));
+        // `PushInt; Bin; StoreLocal 0` fuses to one op whose store would
+        // overwrite the array: its parts run alone up to the store.
+        let ops = vec![SEVEN, SEVEN, ADD, Op::StoreLocal(0), Op::Return];
+        assert!(matches!(fused(&ops)[1], Op::IntBin(7, BinOp::Add, Then::StoreLocal(0))));
+        assert_eq!(quantum(ops), (3, 3));
     }
 
     #[test]
     fn quantum_stops_before_popping_an_object_after_a_fused_op() {
-        // The fused `Const; Bin` runs, the `Pop` of its int result runs, and
-        // the `Pop` of the array below it is left to `step`.
-        let code = vec![
-            Instr::Const(0),
-            Instr::Const(0),
-            Instr::Bin(BinOp::Mul),
-            Instr::Pop,
-            Instr::Pop,
-            Instr::Return,
-        ];
-        assert!(matches!(decoded(&code)[1], Op::IntBin(7, BinOp::Mul, Then::Push)));
-        assert_eq!(quantum(code), (4, 4));
+        // The fused `PushInt; Bin` runs, the `Pop` of its int result runs,
+        // and the `Pop` of the array below it is left to `step`.
+        let ops = vec![SEVEN, SEVEN, Op::Bin(BinOp::Mul, Then::Push), Op::Pop, Op::Pop, Op::Return];
+        assert!(matches!(fused(&ops)[1], Op::IntBin(7, BinOp::Mul, Then::Push)));
+        assert_eq!(quantum(ops), (4, 4));
     }
 
     #[test]
     fn a_fused_op_with_an_object_operand_runs_its_parts_alone() {
-        // Local 0 holds an array: the fused `LoadLocal 0; Const; Bin`
+        // Local 0 holds an array: the fused `LoadLocal 0; PushInt; Bin`
         // declines, its load runs alone, and the `Bin` is left to `step`.
-        let code =
-            vec![Instr::LoadLocal(0), Instr::Const(0), Instr::Bin(BinOp::Add), Instr::Return];
-        assert!(matches!(decoded(&code)[0], Op::LoadIntBin(0, 7, BinOp::Add, Then::Push)));
-        assert_eq!(quantum(code), (2, 2));
+        let ops = vec![Op::LoadLocal(0), SEVEN, ADD, Op::Return];
+        assert!(matches!(fused(&ops)[0], Op::LoadIntBin(0, 7, BinOp::Add, Then::Push)));
+        assert_eq!(quantum(ops), (2, 2));
     }
 
-    fn decoded(code: &[Instr]) -> Vec<Op> {
-        crate::bytecode::decode(code, &[Const::Int(7)])
+    fn fused(ops: &[Op]) -> Vec<Op> {
+        let mut ops = ops.to_vec();
+        crate::bytecode::fuse_in_place(&mut ops);
+        ops
     }
 
-    /// Constants the equivalence test's `Const`s refer to: ints inside and
-    /// outside the 32 bits a fused op carries, a real, bools, none and a
-    /// string (which only `step` may run).
-    fn equivalence_consts() -> Vec<Const> {
-        vec![
-            Const::Int(0),
-            Const::Int(2),
-            Const::Int(-5),
-            Const::Int(1 << 40),
-            Const::Real(0.5),
-            Const::Bool(true),
-            Const::Bool(false),
-            Const::None,
-            Const::Str("s".into()),
-        ]
-    }
-
-    /// A run of private instructions (or a string `Const`) from three
-    /// random bytes: one instruction, or a fusable `Bin` with its operand
-    /// loads and, maybe, the store or branch after it. Jump targets are
-    /// raw bytes, wrapped into the code by the caller.
-    fn private_run(kind: u8, a: u8, b: u8) -> Vec<Instr> {
+    /// A run of private instructions (or a string push, which only `step`
+    /// may run) from three random bytes: one instruction, or a fusable
+    /// `Bin` with its operand loads and, maybe, the store or branch after
+    /// it. Jump targets are raw bytes, wrapped into the code by the
+    /// caller.
+    fn private_run(kind: u8, a: u8, b: u8) -> Vec<Op> {
         use BinOp::*;
         const OPS: [BinOp; 11] = [Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Gt, Le, Ge];
-        let konst = |x: u8| Instr::Const(u16::from(x) % equivalence_consts().len() as u16);
-        let (slot, op) = (|x: u8| u16::from(x % 4), OPS[b as usize % OPS.len()]);
+        // Ints inside and outside the 32 bits a fused op carries, a real,
+        // bools, none and the string `strings[0]`.
+        const PUSHES: [Op; 9] = [
+            Op::PushInt(0),
+            Op::PushInt(2),
+            Op::PushInt(-5),
+            Op::PushInt(1 << 40),
+            Op::PushReal(0.5),
+            Op::PushBool(true),
+            Op::PushBool(false),
+            Op::PushNone,
+            Op::PushStr(0),
+        ];
+        let push = |x: u8| PUSHES[x as usize % PUSHES.len()];
+        let (slot, bin) =
+            (|x: u8| u16::from(x % 4), Op::Bin(OPS[b as usize % OPS.len()], Then::Push));
         let then = match b / 64 {
-            0 => vec![Instr::StoreLocal(slot(a / 4))],
-            1 => vec![Instr::JumpIfFalse(u32::from(a))],
+            0 => vec![Op::StoreLocal(slot(a / 4))],
+            1 => vec![Op::JumpIfFalse(u32::from(a))],
             _ => Vec::new(),
         };
         let mut run = match kind % 16 {
-            0 | 1 => return vec![konst(a)],
-            2 | 3 => return vec![Instr::LoadLocal(slot(a))],
-            4 => return vec![Instr::StoreLocal(slot(a))],
-            5 => return vec![Instr::Bin(op)],
-            6 => return vec![Instr::JumpIfFalse(u32::from(a))],
+            0 | 1 => return vec![push(a)],
+            2 | 3 => return vec![Op::LoadLocal(slot(a))],
+            4 => return vec![Op::StoreLocal(slot(a))],
+            5 => return vec![bin],
+            6 => return vec![Op::JumpIfFalse(u32::from(a))],
             7 => {
                 let t = u32::from(a);
-                let jumps = [Instr::Jump(t), Instr::JumpIfFalsePeek(t), Instr::JumpIfTruePeek(t)];
-                return vec![jumps[b as usize % 3].clone()];
+                return vec![
+                    [Op::Jump(t), Op::JumpIfFalsePeek(t), Op::JumpIfTruePeek(t)][b as usize % 3],
+                ];
             }
-            8 => return vec![Instr::Pop],
-            9 => return vec![Instr::Dup2],
-            10 => return vec![[Instr::Neg, Instr::Not, Instr::Widen][a as usize % 3].clone()],
-            11 => vec![Instr::LoadLocal(slot(a)), Instr::LoadLocal(slot(a / 4)), Instr::Bin(op)],
-            12 => vec![Instr::LoadLocal(slot(a)), konst(a / 4), Instr::Bin(op)],
-            13 => vec![Instr::LoadLocal(slot(a)), Instr::Bin(op)],
-            14 => vec![konst(a), Instr::Bin(op)],
-            _ => vec![Instr::Bin(op)],
+            8 => return vec![Op::Pop],
+            9 => return vec![Op::Dup2],
+            10 => return vec![[Op::Neg, Op::Not, Op::Widen][a as usize % 3]],
+            11 => vec![Op::LoadLocal(slot(a)), Op::LoadLocal(slot(a / 4)), bin],
+            12 => vec![Op::LoadLocal(slot(a)), push(a / 4), bin],
+            13 => vec![Op::LoadLocal(slot(a)), bin],
+            14 => vec![push(a), bin],
+            _ => vec![bin],
         };
         run.extend(then);
         run
-    }
-
-    /// `instr` with its jump target set to `t`.
-    fn retarget(instr: Instr, t: u32) -> Instr {
-        match instr {
-            Instr::Jump(_) => Instr::Jump(t),
-            Instr::JumpIfFalse(_) => Instr::JumpIfFalse(t),
-            Instr::JumpIfFalsePeek(_) => Instr::JumpIfFalsePeek(t),
-            Instr::JumpIfTruePeek(_) => Instr::JumpIfTruePeek(t),
-            other => other,
-        }
     }
 
     /// An int (zero included), real, bool, none or the array object, from
@@ -1170,8 +1135,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
 
-        /// One quantum over the decoded and fused ops leaves the machine
-        /// exactly as that many single `step`s over the plain code do.
+        /// One quantum over the fused ops leaves the machine exactly as
+        /// that many single `step`s do, over the fused ops or the plain
+        /// ones.
         #[test]
         fn a_quantum_runs_like_single_steps(
             runs in proptest::collection::vec((0u8..16, 0u8..=255, 0u8..=255), 1..8),
@@ -1180,31 +1146,28 @@ mod tests {
             max in 1u32..=8,
         ) {
             use crate::bytecode::{CodeUnit, UnitKind};
-            let mut code: Vec<Instr> =
+            let mut ops: Vec<Op> =
                 runs.iter().flat_map(|&(kind, a, b)| private_run(kind, a, b)).collect();
-            let len = code.len() as u32;
-            for instr in &mut code {
-                let t = match *instr {
-                    Instr::Jump(t)
-                    | Instr::JumpIfFalse(t)
-                    | Instr::JumpIfFalsePeek(t)
-                    | Instr::JumpIfTruePeek(t) => t % (len + 1),
-                    _ => continue,
-                };
-                *instr = retarget(instr.clone(), t);
+            let len = ops.len() as u32;
+            for op in &mut ops {
+                if let Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfFalsePeek(t) | Op::JumpIfTruePeek(t) = op {
+                    *t %= len + 1;
+                }
             }
-            code.push(Instr::Return);
+            ops.push(Op::Return);
             let unit = CodeUnit {
                 name: "main".into(),
                 kind: UnitKind::Function,
                 params: 0,
                 nlocals: 4,
-                lines: vec![1; code.len()],
-                code,
-                ops: Vec::new(),
+                lines: vec![1; ops.len()],
+                ops: ops.clone(),
             };
-            let program =
-                CompiledProgram::new(vec![unit], 1, equivalence_consts(), Vec::new(), Vec::new(), 0);
+            let strings = vec!["s".to_string()];
+            let program = CompiledProgram::new(vec![unit], 1, strings, Vec::new(), Vec::new(), 0);
+            // The same program unfused: what the compiler emitted.
+            let mut plain = program.clone();
+            plain.units[0].ops = ops;
             let heap = Heap::new(tetra_runtime::HeapConfig::default());
             let mutator = heap.register_mutator();
             let registry = Registry::default();
@@ -1212,6 +1175,7 @@ mod tests {
             let array = Value::Obj(heap.alloc(&mutator, &registry, Object::array(Vec::new())));
             let world =
                 World { program: &program, heap: &heap, mutator: &mutator, registry: &registry, console: &console };
+            let plain_world = World { program: &plain, ..world };
             let thread = || {
                 // Slot 3 starts as the array, so stores over an object are
                 // common.
@@ -1220,23 +1184,28 @@ mod tests {
                 t.stack.borrow_mut().extend(stack.iter().map(|&k| operand(k, array)));
                 t
             };
-            let (mut quantum, mut single) = (thread(), thread());
+            let mut quantum = thread();
             let n = quantum.step_quantum(&world, max);
             proptest::prop_assert!(n <= max);
-            let mut refs = usize::MAX;
-            for _ in 0..n {
-                let stepped = single.step(&world);
-                let (outcome, cost) =
-                    stepped.map_err(|e| proptest::TestCaseError::fail(e.to_string()))?;
-                proptest::prop_assert!(matches!(outcome, Outcome::Normal));
-                proptest::prop_assert_eq!(cost, CostClass::Basic);
-                // Only the quantum's first instruction may drop a heap
-                // reference.
-                let now = object_refs(&single);
-                proptest::prop_assert!(refs == usize::MAX || now >= refs, "an object was dropped");
-                refs = now;
+            // Single steps over the fused ops (each runs its index's first
+            // part) and over the plain ops.
+            for world in [&world, &plain_world] {
+                let mut single = thread();
+                let mut refs = usize::MAX;
+                for _ in 0..n {
+                    let stepped = single.step(world);
+                    let (outcome, cost) =
+                        stepped.map_err(|e| proptest::TestCaseError::fail(e.to_string()))?;
+                    proptest::prop_assert!(matches!(outcome, Outcome::Normal));
+                    proptest::prop_assert_eq!(cost, CostClass::Basic);
+                    // Only the quantum's first instruction may drop a heap
+                    // reference.
+                    let now = object_refs(&single);
+                    proptest::prop_assert!(refs == usize::MAX || now >= refs, "an object was dropped");
+                    refs = now;
+                }
+                proptest::prop_assert_eq!(machine_state(&quantum), machine_state(&single));
             }
-            proptest::prop_assert_eq!(machine_state(&quantum), machine_state(&single));
         }
     }
 

@@ -235,6 +235,29 @@ def main():
     }
 }
 
+/// Numbers are inline in the bytecode, so a program with more than 65,535
+/// distinct constants keeps every one of them.
+#[test]
+fn seventy_thousand_distinct_constants_agree() {
+    let mut src = String::from("def main():\n    total = 0\n");
+    for k in 0..70_000 {
+        src.push_str(&format!("    total += {}\n", 1_000_000 + k));
+    }
+    src.push_str("    print(total)\n");
+    assert_eq!(run_both(&src), "72449965000\n");
+}
+
+/// An array literal's item count is not narrowed to 16 bits.
+#[test]
+fn an_array_literal_of_seventy_thousand_items_agrees() {
+    let items: Vec<String> = (0..70_000).map(|k| k.to_string()).collect();
+    let src = format!(
+        "def main():\n    a = [{}]\n    print(len(a))\n    print(a[69999])\n",
+        items.join(", ")
+    );
+    assert_eq!(run_both(&src), "70000\n69999\n");
+}
+
 #[test]
 fn nested_scopes_agree() {
     // Unit depth and frame depth differ here: each `parallel:` arm is a
