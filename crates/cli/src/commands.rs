@@ -2,7 +2,7 @@
 
 use crate::debug_cli;
 use std::sync::Arc;
-use tetra::{experiments, programs, InterpConfig, StdConsole, Tetra, VmConfig};
+use tetra::{experiments, InterpConfig, StdConsole, Tetra, VmConfig};
 
 const USAGE: &str = "\
 tetra — the Tetra educational parallel programming language
@@ -42,7 +42,8 @@ struct Opts {
     /// The options given, in order.
     given: Vec<String>,
     threads: Option<usize>,
-    thread_list: Vec<usize>,
+    /// `--threads` as a list (`tetra bench`).
+    thread_list: Option<Vec<usize>>,
     scale: Option<i64>,
     gil: bool,
     gc_stress: bool,
@@ -63,7 +64,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         positional: Vec::new(),
         given: Vec::new(),
         threads: None,
-        thread_list: vec![1, 2, 4, 8],
+        thread_list: None,
         scale: None,
         gil: false,
         gc_stress: false,
@@ -85,14 +86,15 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
                 if v.contains(',') {
-                    o.thread_list = v
-                        .split(',')
-                        .map(|p| p.trim().parse::<usize>().map_err(|e| e.to_string()))
-                        .collect::<Result<_, _>>()?;
+                    o.thread_list = Some(
+                        v.split(',')
+                            .map(|p| p.trim().parse::<usize>().map_err(|e| e.to_string()))
+                            .collect::<Result<_, _>>()?,
+                    );
                 } else {
                     let n = v.parse::<usize>().map_err(|e| e.to_string())?;
                     o.threads = Some(n);
-                    o.thread_list = vec![n];
+                    o.thread_list = Some(vec![n]);
                 }
             }
             "--scale" => {
@@ -420,42 +422,30 @@ fn debug(args: &[String]) -> Result<(), String> {
 fn bench(args: &[String]) -> Result<(), String> {
     let o = parse_opts(args)?;
     o.reads_only("bench", &["--threads", "--scale"])?;
-    let which = o.positional.first().map(|s| s.as_str()).unwrap_or("primes");
-    let threads = o.thread_list.clone();
-    let (title, src) = match which {
-        "primes" => (
-            "E5: primes workload (paper §IV) — virtual-time speedup",
-            programs::primes(o.scale.unwrap_or(20_000), 64),
-        ),
-        "tsp" => (
-            "E6: travelling salesman workload (paper §IV) — virtual-time speedup",
-            programs::tsp(o.scale.unwrap_or(9)),
-        ),
-        "sum" => (
+    let mut table = match o.positional.first().map(|s| s.as_str()).unwrap_or("primes") {
+        "primes" => experiments::e5_primes(),
+        "tsp" => experiments::e6_tsp(),
+        "gil" => experiments::e8_gil(),
+        "sum" => experiments::Table::new(
+            "fig2_sum",
             "Fig. II parallel sum, scaled — virtual-time speedup",
-            format!(
-                "def main():\n    total = 0\n    parallel for i in [1 ... {}]:\n        lock t:\n            total += i\n    print(total)\n",
-                o.scale.unwrap_or(50_000)
-            ),
-        ),
-        "gil" => (
-            "E8: primes under a simulated GIL — speedup stays ~1x",
-            programs::primes(o.scale.unwrap_or(5_000), 64),
+            locked_sum,
+            50_000,
         ),
         other => return Err(format!("unknown benchmark `{other}` (primes|tsp|sum|gil)")),
     };
-    let rows = if which == "gil" {
-        experiments::simulated_speedup_with(
-            &src,
-            &threads,
-            tetra::vm::CostModel { gil: true, ..Default::default() },
-        )
-    } else {
-        experiments::simulated_speedup(&src, &threads)
-    }
-    .map_err(|e| e.to_string())?;
-    print!("{}", experiments::render_table(title, &rows));
+    table.scale = o.scale.unwrap_or(table.scale);
+    table.threads = o.thread_list.unwrap_or(table.threads);
+    let rows = table.run().map_err(|e| e.to_string())?;
+    print!("{}", experiments::render_table(table.title, &rows));
     Ok(())
+}
+
+/// Fig. II's parallel sum over `[1 ... n]`, every addition under one lock.
+fn locked_sum(n: i64) -> String {
+    format!(
+        "def main():\n    total = 0\n    parallel for i in [1 ... {n}]:\n        lock t:\n            total += i\n    print(total)\n"
+    )
 }
 
 #[cfg(test)]

@@ -274,3 +274,46 @@ fn chains_past_the_depth_limit_get_a_diagnostic_not_an_abort() {
         let _ = std::fs::remove_file(path);
     }
 }
+
+#[test]
+fn programs_past_a_bytecode_limit_get_one_diagnostic_from_run_and_sim() {
+    let numbers = |n: usize| (0..n).map(|i| i.to_string()).collect::<Vec<_>>().join(", ");
+    let params = (0..256).map(|i| format!("p{i} int")).collect::<Vec<_>>().join(", ");
+    let lines = |n: usize, line: &dyn Fn(usize) -> String| (0..n).map(line).collect::<String>();
+    let repros = [
+        ("args", format!("def main():\n    print({})\n", numbers(256)), "a call takes at most 255"),
+        (
+            "params",
+            format!("def f({params}):\n    print(p255)\ndef main():\n    f({})\n", numbers(256)),
+            "a function takes at most 255",
+        ),
+        (
+            "locals",
+            format!("def main():\n{}", lines(65_536, &|i| format!("    v{i} = {i}\n"))),
+            "needs 65536 local slots",
+        ),
+        (
+            "units",
+            format!("def main():\n    parallel:\n{}", "        pass\n".repeat(65_536)),
+            "needs more than 65536 code units",
+        ),
+        (
+            "locks",
+            format!(
+                "def main():\n{}",
+                lines(65_537, &|i| format!("    lock l{i}:\n        pass\n"))
+            ),
+            "more than 65536 distinct lock names",
+        ),
+    ];
+    for (name, src, message) in repros {
+        let path = write_temp(name, &src);
+        let run = tetra().arg("run").arg(&path).output().unwrap();
+        let sim = tetra().arg("sim").arg(&path).output().unwrap();
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(message), "{name}: {err}");
+        assert_eq!((sim.status.code(), sim.stderr), (Some(1), run.stderr), "{name}");
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -1,12 +1,15 @@
-//! The experiment harness: regenerates the numbers of the paper's
-//! evaluation (§IV) — see DESIGN.md §3 for the experiment index.
+//! The experiment harness: the tables of the paper's evaluation (§IV) —
+//! see DESIGN.md §3 for the experiment index. Each table's program, scale,
+//! thread counts and simulator configuration are defined once here, as a
+//! [`Table`]; `tests/experiments_shape.rs` pins their rows in
+//! `BENCH_virtual.json`, and `tetra bench` prints them.
 //!
 //! Speedup is measured in **virtual time** on the deterministic VM
 //! scheduler, the documented substitution for the paper's 8-core testbed,
 //! reproducible anywhere. Wall-clock speedup on the real-thread
 //! interpreter is perfbench's `run_t1_ms`/`run_t2_ms`.
 
-use crate::{CompileError, Tetra};
+use crate::{programs, CompileError, Tetra};
 use tetra_runtime::{BufferConsole, RuntimeError};
 use tetra_vm::{CostModel, VmConfig};
 
@@ -50,25 +53,115 @@ fn rows_from(elapsed: Vec<(usize, u64)>) -> Vec<SpeedupRow> {
 /// Virtual-time speedup sweep: run `src` under the deterministic scheduler
 /// with each worker count (the first entry is the baseline, normally 1).
 pub fn simulated_speedup(src: &str, threads: &[usize]) -> Result<Vec<SpeedupRow>, ExperimentError> {
-    simulated_speedup_with(src, threads, CostModel::default())
+    sweep(src, threads, &VmConfig::default())
 }
 
-/// Like [`simulated_speedup`] with a custom cost model (GIL ablation,
-/// contention sensitivity sweeps).
-pub fn simulated_speedup_with(
+/// Like [`simulated_speedup`] on a base configuration whose worker count
+/// each run replaces: its cost model holds the GIL ablation, its
+/// `dynamic_chunking` the static-chunking one.
+fn sweep(
     src: &str,
     threads: &[usize],
-    cost: CostModel,
+    base: &VmConfig,
 ) -> Result<Vec<SpeedupRow>, ExperimentError> {
     let program = Tetra::compile(src)?;
     let mut elapsed = Vec::with_capacity(threads.len());
     for &t in threads {
         let console = BufferConsole::new();
-        let cfg = VmConfig { workers: t, cost: cost.clone(), ..VmConfig::default() };
+        let cfg = VmConfig { workers: t, ..base.clone() };
         let stats = program.simulate_with(cfg, console)?;
         elapsed.push((t, stats.virtual_elapsed));
     }
     Ok(rows_from(elapsed))
+}
+
+/// One of the paper's virtual-time tables: a workload at one scale, swept
+/// over thread counts on one base configuration. `BENCH_virtual.json`
+/// holds every table's rows under its `key`; `tests/experiments_shape.rs`
+/// regenerates and compares them, and `tetra bench` prints them.
+#[derive(Debug, Clone)]
+pub struct Table {
+    /// The table's entry in `BENCH_virtual.json`.
+    pub key: &'static str,
+    pub title: &'static str,
+    /// The workload at a given scale.
+    pub program: fn(i64) -> String,
+    pub scale: i64,
+    pub threads: Vec<usize>,
+    pub config: VmConfig,
+}
+
+impl Table {
+    /// A table of `program` at `scale` over T ∈ {1, 2, 4, 8} on the default
+    /// configuration.
+    pub fn new(
+        key: &'static str,
+        title: &'static str,
+        program: fn(i64) -> String,
+        scale: i64,
+    ) -> Table {
+        Table { key, title, program, scale, threads: vec![1, 2, 4, 8], config: VmConfig::default() }
+    }
+
+    /// Run the sweep.
+    pub fn run(&self) -> Result<Vec<SpeedupRow>, ExperimentError> {
+        sweep(&(self.program)(self.scale), &self.threads, &self.config)
+    }
+}
+
+/// E5's and E8's program: the primes below `limit`, in 64 blocks.
+fn primes(limit: i64) -> String {
+    programs::primes(limit, 64)
+}
+
+/// E5: the primes workload (paper §IV: ≈5× at T=8, 62.5 % efficiency).
+pub fn e5_primes() -> Table {
+    Table::new(
+        "e5_primes_virtual",
+        "E5: primes workload (paper §IV) — virtual-time speedup",
+        primes,
+        20_000,
+    )
+}
+
+/// E6: the travelling-salesman workload (paper §IV).
+pub fn e6_tsp() -> Table {
+    Table::new(
+        "e6_tsp_virtual",
+        "E6: travelling salesman workload (paper §IV) — virtual-time speedup",
+        programs::tsp,
+        9,
+    )
+}
+
+/// E8: E5's program under a simulated global interpreter lock (paper §I).
+pub fn e8_gil() -> Table {
+    let mut table = Table::new(
+        "e8_gil_virtual",
+        "E8: primes under a simulated GIL — speedup stays ~1x",
+        primes,
+        20_000,
+    );
+    table.config.cost = CostModel { gil: true, ..CostModel::default() };
+    table
+}
+
+/// E10: the skewed loop under the pool's dynamic chunking, or under one
+/// static contiguous chunk per worker.
+pub fn e10_skewed(dynamic_chunking: bool) -> Table {
+    let (key, title) = if dynamic_chunking {
+        ("e10_skewed_pool_virtual", "E10: skewed loop, dynamic chunking — virtual-time speedup")
+    } else {
+        ("e10_skewed_static_virtual", "E10: skewed loop, static chunks — virtual-time speedup")
+    };
+    let mut table = Table::new(key, title, programs::skewed, 64);
+    table.config.dynamic_chunking = dynamic_chunking;
+    table
+}
+
+/// Every table, in the order `BENCH_virtual.json` lists them.
+pub fn tables() -> [Table; 5] {
+    [e5_primes(), e6_tsp(), e8_gil(), e10_skewed(true), e10_skewed(false)]
 }
 
 /// Errors from the harness.
@@ -100,49 +193,3 @@ impl std::fmt::Display for ExperimentError {
 }
 
 impl std::error::Error for ExperimentError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::programs;
-
-    #[test]
-    fn primes_speedup_has_paper_shape() {
-        // E5: speedup grows with T and lands near the paper's ≈5× at T=8
-        // (62.5 % efficiency). Small limit keeps the test fast; the curve
-        // shape is limit-independent.
-        let src = programs::primes(2_000, 64);
-        let rows = simulated_speedup(&src, &[1, 2, 4, 8]).unwrap();
-        assert!((rows[1].speedup - 2.0).abs() < 0.4, "T=2: {:?}", rows);
-        assert!(rows[2].speedup > 3.0, "T=4: {:?}", rows);
-        assert!(
-            rows[3].speedup > 3.8 && rows[3].speedup < 6.5,
-            "T=8 should be near the paper's 5x: {:?}",
-            rows
-        );
-        assert!(
-            rows[3].efficiency > 0.45 && rows[3].efficiency < 0.85,
-            "efficiency near 62.5%: {:?}",
-            rows
-        );
-    }
-
-    #[test]
-    fn gil_ablation_is_flat() {
-        // E8: with a global interpreter lock no speedup is possible.
-        let src = programs::primes(800, 32);
-        let cost = CostModel { gil: true, ..CostModel::default() };
-        let rows = simulated_speedup_with(&src, &[1, 4, 8], cost).unwrap();
-        for r in &rows[1..] {
-            assert!((0.75..1.25).contains(&r.speedup), "GIL must pin speedup at ~1x: {rows:?}");
-        }
-    }
-
-    #[test]
-    fn render_table_formats_rows() {
-        let rows = vec![SpeedupRow { threads: 8, elapsed: 100, speedup: 5.0, efficiency: 0.625 }];
-        let t = render_table("primes", &rows);
-        assert!(t.contains("primes"), "{t}");
-        assert!(t.contains("62.5%"), "{t}");
-    }
-}

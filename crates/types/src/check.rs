@@ -15,6 +15,7 @@
 //! * empty `[]` / `{}` literals need an expected type from context
 //!   (assignment to a typed variable, argument, or return position).
 
+use crate::limits::{MAX_CALL_ARGS, MAX_CODE_UNITS, MAX_LOCAL_SLOTS, MAX_LOCKS};
 use crate::resolve::Resolution;
 use std::collections::HashMap;
 use tetra_ast::*;
@@ -157,6 +158,16 @@ pub fn check(program: Program) -> Result<TypedProgram, Vec<Diagnostic>> {
     checker.check_main(&program);
     if checker.errors.is_empty() {
         let resolution = crate::resolve::resolve(&program);
+        if let Some(name) = resolution.lock_names().get(MAX_LOCKS) {
+            return Err(vec![Diagnostic::new(
+                Stage::Type,
+                format!(
+                    "this program uses more than {MAX_LOCKS} distinct lock names; `{name}` is the first past the limit"
+                ),
+                Span::DUMMY,
+            )
+            .with_help("reuse lock names: one name may guard several blocks")]);
+        }
         Ok(TypedProgram {
             program,
             callees: checker.callees,
@@ -191,6 +202,11 @@ struct Checker {
     locals: HashMap<Symbol, Type>,
     current_func: usize,
     current_ret: Type,
+    /// Sequential `for` statements in the function so far: each takes two
+    /// hidden local slots in the bytecode.
+    fors: usize,
+    /// Code units so far (see [`MAX_CODE_UNITS`]).
+    units: usize,
     loop_depth: u32,
     /// Name of the innermost enclosing thread-spawning construct, if any.
     parallel_ctx: Option<&'static str>,
@@ -226,6 +242,8 @@ impl Checker {
             locals: HashMap::new(),
             current_func: 0,
             current_ret: Type::None,
+            fors: 0,
+            units: 0,
             loop_depth: 0,
             parallel_ctx: None,
         }
@@ -239,6 +257,20 @@ impl Checker {
     fn error_help(&mut self, msg: impl Into<String>, span: Span, help: impl Into<String>) -> Bail {
         self.errors.push(Diagnostic::new(Stage::Type, msg, span).with_help(help));
         Bail
+    }
+
+    /// Count `n` more code units, reporting the first that passes
+    /// [`MAX_CODE_UNITS`] at `span`.
+    fn add_units(&mut self, n: usize, span: Span) {
+        let before = self.units;
+        self.units += n;
+        if before <= MAX_CODE_UNITS && self.units > MAX_CODE_UNITS {
+            self.error_help(
+                format!("this program needs more than {MAX_CODE_UNITS} code units: each function, `parallel for` body and statement of a `parallel:` or `background:` block is one"),
+                span,
+                "split the program, or merge small functions",
+            );
+        }
     }
 
     fn check_main(&mut self, program: &Program) {
@@ -272,12 +304,37 @@ impl Checker {
         self.locals.clear();
         self.current_func = idx;
         self.current_ret = func.ret.clone();
+        self.fors = 0;
         self.loop_depth = 0;
         self.parallel_ctx = None;
+        if func.params.len() > MAX_CALL_ARGS {
+            self.error(
+                format!(
+                    "function `{}` has {} parameters; a function takes at most {MAX_CALL_ARGS}",
+                    func.name,
+                    func.params.len()
+                ),
+                func.span,
+            );
+        }
+        self.add_units(1, func.span);
         for p in &func.params {
             self.locals.insert(p.name, p.ty.clone());
         }
         let returns = self.check_block(&func.body);
+        let slots = self.locals.len() + 2 * self.fors;
+        if slots > MAX_LOCAL_SLOTS {
+            self.error_help(
+                format!(
+                    "function `{}` needs {slots} local slots, more than the limit of {MAX_LOCAL_SLOTS}: one for each of its {} variables and two for each of its {} `for` loops",
+                    func.name,
+                    self.locals.len(),
+                    self.fors
+                ),
+                func.span,
+                "split the function into smaller functions",
+            );
+        }
         if func.ret != Type::None && !returns {
             self.errors.push(
                 Diagnostic::new(
@@ -349,12 +406,14 @@ impl Checker {
                     set(&mut self.copied, iter.id);
                 }
                 self.bind_loop_var(*var, elem, stmt.span)?;
+                self.fors += 1;
                 self.loop_depth += 1;
                 self.check_block(body);
                 self.loop_depth -= 1;
                 Ok(false)
             }
             StmtKind::ParallelFor { var, iter, body, .. } => {
+                self.add_units(1, stmt.span);
                 let (_, elem) = self.check_iterable(iter)?;
                 self.bind_loop_var(*var, elem, stmt.span)?;
                 let saved = self.parallel_ctx;
@@ -375,6 +434,7 @@ impl Checker {
                 if body.stmts.is_empty() {
                     return Err(self.error(format!("`{which}:` block is empty"), stmt.span));
                 }
+                self.add_units(body.stmts.len(), stmt.span);
                 let saved = self.parallel_ctx;
                 let saved_depth = self.loop_depth;
                 self.parallel_ctx = Some(which);
@@ -941,6 +1001,16 @@ impl Checker {
         args: &[Expr],
         expected: Option<&Type>,
     ) -> CResult<Type> {
+        if args.len() > MAX_CALL_ARGS {
+            return Err(self.error_help(
+                format!(
+                    "`{callee}` is called with {} arguments; a call takes at most {MAX_CALL_ARGS}",
+                    args.len()
+                ),
+                e.span,
+                "pass an array instead",
+            ));
+        }
         // User functions shadow builtins.
         if let Some(sig) = self.sigs.get(&callee) {
             let (index, params, ret) = (sig.index, sig.params.clone(), sig.ret.clone());

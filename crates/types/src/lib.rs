@@ -10,6 +10,7 @@
 //! bytecode compiler and the debugger.
 
 mod check;
+pub mod limits;
 pub mod resolve;
 
 pub use check::{check, Callee, Callees, TypedProgram};
@@ -407,6 +408,65 @@ def main():
         // The parser requires a non-empty block, so `pass` makes an
         // otherwise-empty parallel block; that is allowed (one no-op thread).
         assert!(check_src("def main():\n    parallel:\n        pass\n").is_ok());
+    }
+
+    /// `n` comma-separated items made by `item`.
+    fn list(n: usize, item: impl Fn(usize) -> String) -> String {
+        (0..n).map(item).collect::<Vec<_>>().join(", ")
+    }
+
+    #[test]
+    fn calls_and_parameter_lists_stop_at_max_call_args() {
+        let print = |n| format!("def main():\n    print({})\n", list(n, |i| i.to_string()));
+        assert!(check_src(&print(limits::MAX_CALL_ARGS)).is_ok());
+        let err = first_error(&print(limits::MAX_CALL_ARGS + 1));
+        assert!(err.contains("called with 256 arguments; a call takes at most 255"), "{err}");
+        let params = list(limits::MAX_CALL_ARGS + 1, |i| format!("p{i} int"));
+        let err = first_error(&format!("def f({params}):\n    pass\ndef main():\n    pass\n"));
+        assert!(err.contains("`f` has 256 parameters; a function takes at most 255"), "{err}");
+    }
+
+    #[test]
+    fn a_function_stops_at_max_local_slots_counting_two_per_for_loop() {
+        let program = |vars: usize, fors: usize| {
+            let mut src = String::from("def main():\n");
+            for i in 0..vars {
+                src.push_str(&format!("    v{i} = {i}\n"));
+            }
+            for _ in 0..fors {
+                src.push_str("    for v0 in [1]:\n        pass\n");
+            }
+            src
+        };
+        let err = first_error(&program(limits::MAX_LOCAL_SLOTS + 1, 0));
+        assert!(err.contains("needs 65536 local slots, more than the limit of 65535"), "{err}");
+        // Each sequential `for` holds its sequence and index in two hidden
+        // slots of the bytecode.
+        let err = first_error(&program(limits::MAX_LOCAL_SLOTS - 1, 1));
+        assert!(err.contains("65534 variables and two for each of its 1 `for` loops"), "{err}");
+    }
+
+    #[test]
+    fn a_program_stops_at_max_code_units() {
+        // `main` and each statement of its `parallel:` block are units.
+        let block = |n| format!("def main():\n    parallel:\n{}", "        pass\n".repeat(n));
+        assert!(check_src(&block(limits::MAX_CODE_UNITS - 1)).is_ok());
+        let err = first_error(&block(limits::MAX_CODE_UNITS));
+        assert!(err.contains("needs more than 65536 code units"), "{err}");
+    }
+
+    #[test]
+    fn a_program_stops_at_max_locks() {
+        let locks = |n| {
+            let mut src = String::from("def main():\n");
+            for i in 0..n {
+                src.push_str(&format!("    lock l{i}:\n        pass\n"));
+            }
+            src
+        };
+        assert!(check_src(&locks(limits::MAX_LOCKS)).is_ok());
+        let err = first_error(&locks(limits::MAX_LOCKS + 1));
+        assert!(err.contains("more than 65536 distinct lock names; `l65536`"), "{err}");
     }
 
     #[test]

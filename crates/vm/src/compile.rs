@@ -21,7 +21,30 @@ use crate::bytecode::*;
 use tetra_ast::pretty::expr_to_source;
 use tetra_ast::{AssignOp, BinOp, Block, Expr, ExprKind, NodeId, Stmt, StmtKind, Target, UnOp};
 use tetra_stdlib::Builtin;
+use tetra_types::limits::{MAX_CALL_ARGS, MAX_CODE_UNITS, MAX_LOCAL_SLOTS, MAX_LOCKS};
 use tetra_types::{Callee, TypedProgram};
+
+// The checker's limits are what the instruction fields can hold.
+const _: () = assert!(MAX_CALL_ARGS <= u8::MAX as usize);
+const _: () = assert!(MAX_LOCAL_SLOTS <= u16::MAX as usize);
+const _: () = assert!(MAX_CODE_UNITS <= u16::MAX as usize + 1);
+const _: () = assert!(MAX_LOCKS <= u16::MAX as usize + 1);
+
+/// A local slot or slot count, which the checker bounds by [`MAX_LOCAL_SLOTS`].
+fn slot(n: usize) -> u16 {
+    u16::try_from(n).expect("the checker bounds local slots by MAX_LOCAL_SLOTS")
+}
+
+/// A code unit index, which the checker bounds by [`MAX_CODE_UNITS`].
+fn unit(index: usize) -> u16 {
+    u16::try_from(index).expect("the checker bounds code units by MAX_CODE_UNITS")
+}
+
+/// An argument or parameter count, which the checker bounds by
+/// [`MAX_CALL_ARGS`].
+fn argc(n: usize) -> u8 {
+    u8::try_from(n).expect("the checker bounds call arguments by MAX_CALL_ARGS")
+}
 
 /// Compile a checked program to bytecode.
 pub fn compile(typed: &TypedProgram) -> CompiledProgram {
@@ -32,7 +55,7 @@ pub fn compile(typed: &TypedProgram) -> CompiledProgram {
         c.units.push(CodeUnit {
             name: f.name.to_string(),
             kind: UnitKind::Function,
-            params: f.params.len() as u16,
+            params: argc(f.params.len()).into(),
             nlocals: 0,
             ops: Vec::new(),
             lines: Vec::new(),
@@ -51,7 +74,7 @@ pub fn compile(typed: &TypedProgram) -> CompiledProgram {
         unit.lines = lines;
         unit.nlocals = nlocals;
     }
-    let main = typed.program.func_index("main").unwrap_or(0) as u16;
+    let main = unit(typed.program.func_index("main").unwrap_or(0));
     let lock_names = typed.resolution.lock_names().to_vec();
     CompiledProgram::new(c.units, num_funcs, c.strings, c.spawns, lock_names, main)
 }
@@ -96,8 +119,8 @@ struct FnCompiler<'c, 't> {
 impl<'c, 't> FnCompiler<'c, 't> {
     fn new(comp: &'c mut Compiler<'t>, func_idx: usize) -> Self {
         let name = comp.typed.program.funcs[func_idx].name.to_string();
-        let params = comp.typed.program.funcs[func_idx].params.len() as u16;
-        let nlocals = comp.typed.resolution.func_layout(func_idx).len() as u16;
+        let params = argc(comp.typed.program.funcs[func_idx].params.len()).into();
+        let nlocals = slot(comp.typed.resolution.func_layout(func_idx).len());
         FnCompiler {
             comp,
             parts: vec![PartialUnit {
@@ -154,7 +177,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
     /// coordinate, with the child units between the access and its frame
     /// counted in.
     fn place(&self, id: NodeId) -> (u8, u16) {
-        let (mut up, slot) = self.comp.typed.resolution.coord(id);
+        let (mut up, index) = self.comp.typed.resolution.coord(id);
         let mut depth = 0;
         for part in self.parts.iter().rev() {
             if part.kind != UnitKind::ParallelChild {
@@ -165,15 +188,15 @@ impl<'c, 't> FnCompiler<'c, 't> {
             }
             depth += 1;
         }
-        (depth, slot as u16)
+        (depth, slot(index))
     }
 
     /// Allocate a hidden slot in the current unit (loop bookkeeping).
     fn define_hidden(&mut self) -> u16 {
         let part = self.parts.last_mut().unwrap();
-        let slot = part.nlocals;
-        part.nlocals += 1;
-        slot
+        let hidden = part.nlocals;
+        part.nlocals = slot(usize::from(hidden) + 1);
+        hidden
     }
 
     fn load(&mut self, depth: u8, slot: u16) {
@@ -218,7 +241,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
         self.emit(Op::PushNone);
         self.emit(Op::Return);
         let part = self.parts.pop().unwrap();
-        let idx = self.comp.units.len() as u16;
+        let idx = unit(self.comp.units.len());
         self.comp.units.push(CodeUnit {
             name: part.name,
             kind: part.kind,
@@ -388,8 +411,8 @@ impl<'c, 't> FnCompiler<'c, 't> {
                     .typed
                     .resolution
                     .lock_index(s.id)
-                    .expect("the resolver indexes every lock statement")
-                    as u16;
+                    .expect("the resolver indexes every lock statement");
+                let lock = u16::try_from(lock).expect("the checker bounds lock names by MAX_LOCKS");
                 self.emit(Op::EnterLock(lock));
                 self.block(body);
                 self.set_line(s.span.line);
@@ -431,7 +454,7 @@ impl<'c, 't> FnCompiler<'c, 't> {
                 self.expr(iter);
                 let name = format!("parallel-for@{}", s.span.line);
                 // Slot 0 of the thunk is the private induction variable.
-                let nlocals = self.comp.typed.resolution.pfor_layout(s.id).len() as u16;
+                let nlocals = slot(self.comp.typed.resolution.pfor_layout(s.id).len());
                 let t =
                     self.thunk(UnitKind::ParallelForBody, name, 1, nlocals, |me| me.block(body));
                 self.set_line(s.span.line);
@@ -574,8 +597,8 @@ impl<'c, 't> FnCompiler<'c, 't> {
                     self.expr(arg);
                 }
                 match resolved {
-                    Callee::User(idx) => self.emit(Op::Call(idx as u16, args.len() as u8)),
-                    Callee::Builtin(b) => self.emit(Op::CallBuiltin(b, args.len() as u8)),
+                    Callee::User(idx) => self.emit(Op::Call(unit(idx), argc(args.len()))),
+                    Callee::Builtin(b) => self.emit(Op::CallBuiltin(b, argc(args.len()))),
                 };
             }
             ExprKind::Index { base, index } => {

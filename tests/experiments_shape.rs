@@ -1,17 +1,53 @@
-//! E5–E8 shape tests: quick versions of the benchmark harness asserting
-//! the *qualitative* results the paper reports (who wins, by roughly what
-//! factor) — the full tables come from `cargo bench` / EXPERIMENTS.md.
+//! The paper's evaluation tables (E5, E6, E8, E10) and the shape of its
+//! results. Each table test regenerates its [`Table`]'s virtual-time rows,
+//! compares them byte for byte with its line of the committed
+//! `BENCH_virtual.json`, and then asserts the qualitative result the paper
+//! reports (who wins, by roughly what factor) on the same rows. Virtual
+//! time is deterministic, so a changed row means a changed cost model or
+//! schedule; on a mismatch the failure prints the regenerated file.
 
-use tetra::experiments::{simulated_speedup, simulated_speedup_with};
-use tetra::vm::CostModel;
+use tetra::experiments::{self, render_table, simulated_speedup, SpeedupRow, Table};
 use tetra::{programs, BufferConsole, Tetra};
+
+const PINNED: &str = include_str!("../BENCH_virtual.json");
+
+/// Run `table`, check its rows against `BENCH_virtual.json`, and return
+/// them.
+fn pinned(table: &Table) -> Vec<SpeedupRow> {
+    let rows = table.run().unwrap_or_else(|e| panic!("{}: {e}", table.key));
+    let cells: Vec<String> =
+        rows.iter().map(|r| format!("\"{}\": {}", r.threads, r.elapsed)).collect();
+    let line = |t: &Table| format!("  \"{}\": ", t.key);
+    let lines: Vec<String> = experiments::tables()
+        .iter()
+        .map(|t| {
+            if t.key == table.key {
+                format!("{}{{{}}}", line(t), cells.join(", "))
+            } else {
+                PINNED.lines().find(|l| l.starts_with(&line(t))).map_or_else(
+                    || format!("{}\"not regenerated by this test\"", line(t)),
+                    |l| l.trim_end_matches(',').to_string(),
+                )
+            }
+        })
+        .collect();
+    let regenerated = format!("{{\n{}\n}}\n", lines.join(",\n"));
+    assert!(
+        PINNED == regenerated,
+        "`{}` differs from BENCH_virtual.json; with this table regenerated the file reads:\n{regenerated}",
+        table.key
+    );
+    rows
+}
 
 #[test]
 fn e5_primes_speedup_shape() {
     // Paper §IV: "approximately 5X speedup when run on 8 cores which is a
     // 62.5% efficiency rate".
-    let rows = simulated_speedup(&programs::primes(3_000, 64), &[1, 2, 4, 8]).unwrap();
-    assert!(rows[1].speedup > 1.5, "T=2 must beat sequential: {rows:?}");
+    let table = experiments::e5_primes();
+    let rows = pinned(&table);
+    assert!((rows[1].speedup - 2.0).abs() < 0.4, "T=2: {rows:?}");
+    assert!(rows[2].speedup > 1.5, "T=4 must beat sequential by 1.5x: {rows:?}");
     assert!(rows[2].speedup > rows[1].speedup, "T=4 > T=2: {rows:?}");
     assert!(rows[3].speedup > rows[2].speedup, "T=8 > T=4: {rows:?}");
     assert!(
@@ -19,11 +55,16 @@ fn e5_primes_speedup_shape() {
         "T=8 speedup should be near the paper's ~5x: {rows:?}"
     );
     assert!((0.45..0.85).contains(&rows[3].efficiency), "efficiency near 62.5%: {rows:?}");
+    // The table `tetra bench primes` and EXPERIMENTS.md print.
+    let text = render_table(table.title, &rows);
+    assert!(text.starts_with(table.title) && text.contains("speedup"), "{text}");
+    assert_eq!(text.lines().count(), 2 + rows.len(), "{text}");
+    assert!(text.contains("4.84") && text.contains("60.5%"), "{text}");
 }
 
 #[test]
 fn e6_tsp_speedup_shape() {
-    let rows = simulated_speedup(&programs::tsp(8), &[1, 2, 4, 7]).unwrap();
+    let rows = pinned(&experiments::e6_tsp());
     assert!(rows[1].speedup > 1.4, "{rows:?}");
     assert!(rows[3].speedup > rows[1].speedup, "{rows:?}");
     assert!(rows[3].speedup > 2.5, "TSP should parallelize well: {rows:?}");
@@ -55,13 +96,26 @@ fn e7_vm_uses_fewer_dispatch_steps_than_interp_statements() {
 
 #[test]
 fn e8_gil_flat_vs_tetra_rising() {
-    let src = programs::primes(1_200, 32);
-    let tetra_rows = simulated_speedup(&src, &[1, 8]).unwrap();
-    let gil_rows =
-        simulated_speedup_with(&src, &[1, 8], CostModel { gil: true, ..CostModel::default() })
-            .unwrap();
-    assert!(tetra_rows[1].speedup > 3.0, "Tetra at T=8 must show real speedup: {tetra_rows:?}");
-    assert!(gil_rows[1].speedup < 1.3, "the GIL must pin speedup near 1x: {gil_rows:?}");
+    // Paper §I: under a GIL "only one thread can actually run at a time".
+    let gil = pinned(&experiments::e8_gil());
+    assert!(gil.iter().all(|r| r.elapsed == gil[0].elapsed), "the GIL pins speedup at 1x: {gil:?}");
+    // The same program without the GIL: E5 at T=8.
+    let tetra = Table { threads: vec![8], ..experiments::e5_primes() }.run().unwrap();
+    assert!(
+        gil[0].elapsed > 3 * tetra[0].elapsed,
+        "Tetra at T=8 must show real speedup: {tetra:?} against {gil:?}"
+    );
+}
+
+#[test]
+fn e10_dynamic_chunking_beats_static_chunks_on_a_skewed_loop() {
+    // The last static chunk holds the heaviest items; dynamic chunking
+    // balances the tail.
+    let pool = pinned(&experiments::e10_skewed(true));
+    let fixed = pinned(&experiments::e10_skewed(false));
+    assert_eq!(pool[0].elapsed, fixed[0].elapsed, "one worker has one chunk either way");
+    let ratio = fixed[2].elapsed as f64 / pool[2].elapsed as f64;
+    assert!(ratio >= 1.3, "static/dynamic at T=4 must be at least 1.3x: {ratio:.2}");
 }
 
 #[test]
@@ -87,12 +141,4 @@ fn tsp_result_is_stable_across_thread_counts() {
     }
     assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
     assert!(answers[0].starts_with("best tour: "), "{answers:?}");
-}
-
-#[test]
-fn speedup_tables_render_for_the_docs() {
-    let rows = simulated_speedup(&programs::primes(1_000, 16), &[1, 2]).unwrap();
-    let table = tetra::experiments::render_table("smoke", &rows);
-    assert!(table.contains("speedup"), "{table}");
-    assert!(table.lines().count() >= 4, "{table}");
 }
